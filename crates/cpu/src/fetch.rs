@@ -24,16 +24,33 @@ pub struct FetchedInstr {
 
 /// A fetch packet: 1–2 instructions from one aligned fetch group, with a
 /// consumption cursor (split issue consumes one instruction at a time).
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The slots live inline, so fetching a packet allocates nothing.
+#[derive(Debug, Clone, Copy, Eq)]
 pub struct FetchPacket {
-    slots: Vec<FetchedInstr>,
-    next: usize,
+    slots: [FetchedInstr; 2],
+    len: u8,
+    next: u8,
 }
 
 impl FetchPacket {
+    /// Decodes `raw` (one or two consecutive words) fetched from `pc`.
+    fn new(pc: u32, raw: &[u32]) -> FetchPacket {
+        let mut slots = [FetchedInstr { pc: 0, raw: 0, instr: None }; 2];
+        for (i, (slot, &raw)) in slots.iter_mut().zip(raw).enumerate() {
+            *slot = FetchedInstr { pc: pc + 4 * i as u32, raw, instr: Instr::decode(raw).ok() };
+        }
+        FetchPacket { slots, len: raw.len() as u8, next: 0 }
+    }
+
+    /// The packet's instructions, issued or not.
+    fn slots(&self) -> &[FetchedInstr] {
+        &self.slots[..self.len as usize]
+    }
+
     /// Remaining (unissued) instructions.
     pub fn remaining(&self) -> &[FetchedInstr] {
-        &self.slots[self.next..]
+        &self.slots()[self.next as usize..]
     }
 
     /// Consumes the next instruction.
@@ -42,14 +59,20 @@ impl FetchPacket {
     ///
     /// Panics if the packet is exhausted.
     pub fn take(&mut self) -> FetchedInstr {
-        let i = self.slots[self.next];
+        let i = self.slots()[self.next as usize];
         self.next += 1;
         i
     }
 
     /// Whether every instruction has been issued.
     pub fn is_exhausted(&self) -> bool {
-        self.next >= self.slots.len()
+        self.next >= self.len
+    }
+}
+
+impl PartialEq for FetchPacket {
+    fn eq(&self, other: &FetchPacket) -> bool {
+        self.slots() == other.slots() && self.next == other.next
     }
 }
 
@@ -151,6 +174,13 @@ impl FetchUnit {
         }
     }
 
+    /// Queues the packet of `raw` words fetched from `addr` and moves the
+    /// fetch pc past it.
+    fn enqueue(&mut self, addr: u32, raw: &[u32]) {
+        self.queue.push_back(FetchPacket::new(addr, raw));
+        self.pc = addr + 4 * raw.len() as u32;
+    }
+
     /// Advances the fetch unit by one cycle. `halting` suppresses new
     /// fetches (after `halt` issues).
     pub fn step(&mut self, bus: &mut Bus, itcm: &Tcm, halting: bool) {
@@ -162,17 +192,7 @@ impl FetchUnit {
                 if let Some(resp) = bus.response(self.port) {
                     self.state = FetchState::Idle;
                     if !self.discard {
-                        let slots = resp.words()[..words as usize]
-                            .iter()
-                            .enumerate()
-                            .map(|(i, &raw)| FetchedInstr {
-                                pc: addr + 4 * i as u32,
-                                raw,
-                                instr: Instr::decode(raw).ok(),
-                            })
-                            .collect();
-                        self.queue.push_back(FetchPacket { slots, next: 0 });
-                        self.pc = addr + 4 * words as u32;
+                        self.enqueue(addr, &resp.words()[..words as usize]);
                     }
                     self.discard = false;
                 } else {
@@ -202,15 +222,8 @@ impl FetchUnit {
         let (addr, words) = self.group();
         match Region::of(addr) {
             Region::Itcm => {
-                let slots = (0..words)
-                    .map(|i| {
-                        let pc = addr + 4 * i as u32;
-                        let raw = if itcm.contains(pc) { itcm.read(pc) } else { 0 };
-                        FetchedInstr { pc, raw, instr: Instr::decode(raw).ok() }
-                    })
-                    .collect();
-                self.queue.push_back(FetchPacket { slots, next: 0 });
-                self.pc = addr + 4 * words as u32;
+                let word = |pc| if itcm.contains(pc) { itcm.read(pc) } else { 0 };
+                self.enqueue(addr, &[word(addr), word(addr + 4)][..words as usize]);
             }
             Region::Flash | Region::Sram => {
                 if let Some(ic) = self.icache.as_mut() {
@@ -218,22 +231,7 @@ impl FetchUnit {
                     // Both packet words always live in the same 32-byte line.
                     let hit1 = if words == 2 { ic.read(addr + 4) } else { Some(0) };
                     match (hit0, hit1) {
-                        (Some(w0), Some(w1)) => {
-                            let mut slots = vec![FetchedInstr {
-                                pc: addr,
-                                raw: w0,
-                                instr: Instr::decode(w0).ok(),
-                            }];
-                            if words == 2 {
-                                slots.push(FetchedInstr {
-                                    pc: addr + 4,
-                                    raw: w1,
-                                    instr: Instr::decode(w1).ok(),
-                                });
-                            }
-                            self.queue.push_back(FetchPacket { slots, next: 0 });
-                            self.pc = addr + 4 * words as u32;
-                        }
+                        (Some(w0), Some(w1)) => self.enqueue(addr, &[w0, w1][..words as usize]),
                         _ => {
                             let base = self.icache.as_ref().expect("checked").line_base(addr);
                             let burst =
@@ -249,13 +247,7 @@ impl FetchUnit {
             }
             // Fetching from the data TCM or unmapped space returns erased
             // words, which issue as illegal instructions.
-            _ => {
-                let slots = (0..words)
-                    .map(|i| FetchedInstr { pc: addr + 4 * i as u32, raw: !0, instr: None })
-                    .collect();
-                self.queue.push_back(FetchPacket { slots, next: 0 });
-                self.pc = addr + 4 * words as u32;
-            }
+            _ => self.enqueue(addr, &[!0, !0][..words as usize]),
         }
     }
 

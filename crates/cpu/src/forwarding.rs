@@ -181,6 +181,10 @@ impl ForwardingNetwork {
 /// caller resolves instance matching); `last_out` is this instance's
 /// one-word delay history, updated to the fault-free/pre-delay output
 /// exactly as the in-pipeline network does.
+///
+/// # Panics
+///
+/// Panics if `inputs` holds more than [`OPERAND_SOURCES`] values.
 pub fn mux_eval(
     inputs: &[u64],
     sel: Option<usize>,
@@ -193,7 +197,7 @@ pub fn mux_eval(
         // decodes to: no AND gate opens and the OR plane yields 0
         // (modulo select-stem faults, handled by evaluating with a
         // guaranteed-dead select).
-        None => gates::mux_out(&vec![0u64; inputs.len()], 0, width, fault)
+        None => gates::mux_out(&[0; OPERAND_SOURCES][..inputs.len()], 0, width, fault)
             | leak_from_stems(inputs, width, fault),
         Some(s) => gates::mux_out(inputs, s, width, fault),
     };

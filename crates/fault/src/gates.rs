@@ -45,16 +45,13 @@ pub fn mux_out(
         return inputs[sel] & mask;
     };
 
-    // One-hot select with possible stem fault.
-    let mut onehot: Vec<bool> = (0..inputs.len()).map(|s| s == sel).collect();
-    if let Element::MuxSelStem { src } = element {
-        if (src as usize) < onehot.len() {
-            onehot[src as usize] = pol.value();
-        }
-    }
-
     let mut out = 0u64;
-    for (s, (&data, &on)) in inputs.iter().zip(&onehot).enumerate() {
+    for (s, &data) in inputs.iter().enumerate() {
+        // One-hot select line, with a possible stem fault.
+        let on = match element {
+            Element::MuxSelStem { src } if src as usize == s => pol.value(),
+            _ => s == sel,
+        };
         let mut data = data & mask;
         // Per-bit data-input fault.
         if let Element::MuxDataIn { src, bit } = element {
@@ -113,6 +110,9 @@ pub fn mux_out(
 ///
 /// [`Element::CmpChainNode`]`{node}` faults the output of `chain[node]`;
 /// node 0 therefore behaves like a fault on the gated valid.
+///
+/// Without a fault the chain is exactly `valid` AND the low `bits` bits
+/// of `a` and `b` being equal, which the fast path computes in one step.
 pub fn cmp_eq(
     a: u32,
     b: u32,
@@ -120,6 +120,10 @@ pub fn cmp_eq(
     valid: bool,
     fault: Option<(Element, Polarity)>,
 ) -> bool {
+    if fault.is_none() {
+        let mask = if bits >= 32 { u32::MAX } else { (1 << bits) - 1 };
+        return valid && (a ^ b) & mask == 0;
+    }
     let mut valid = valid;
     if let Some((Element::CmpValidIn, pol)) = fault {
         valid = pol.value();
@@ -230,6 +234,30 @@ mod tests {
         assert!(cmp_eq(0b10110, 0b10110, 5, true, None));
         assert!(!cmp_eq(0b10110, 0b10111, 5, true, None));
         assert!(!cmp_eq(3, 3, 5, false, None), "invalid producer never matches");
+    }
+
+    /// The per-bit AND chain of the comparator network, unfaulted.
+    fn chain_reference(a: u32, b: u32, bits: u8, valid: bool) -> bool {
+        (0..bits).fold(valid, |chain, i| chain && (a >> i) & 1 == (b >> i) & 1)
+    }
+
+    /// The fault-free fast path equals the per-bit chain, and the slow
+    /// path under a fault that touches no pin of the comparator, over
+    /// every 5-bit operand pair and valid value.
+    #[test]
+    fn cmp_fast_path_matches_the_chain_exhaustively() {
+        let inert = Some((Element::MuxOrOut { bit: 0 }, StuckAt1));
+        for a in 0..32 {
+            for b in 0..32 {
+                for valid in [false, true] {
+                    let want = chain_reference(a, b, 5, valid);
+                    assert_eq!(cmp_eq(a, b, 5, valid, None), want, "a={a} b={b} valid={valid}");
+                    assert_eq!(cmp_eq(a, b, 5, valid, inert), want, "a={a} b={b} valid={valid}");
+                    // Bits above the compared width never matter.
+                    assert_eq!(cmp_eq(a | 0x40, b, 5, valid, None), want);
+                }
+            }
+        }
     }
 
     #[test]

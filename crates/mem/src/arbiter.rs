@@ -148,15 +148,13 @@ pub struct RoundRobin {
 
 impl Arbiter for RoundRobin {
     fn grant(&mut self, pending: &[bool], _cycle: u64) -> Option<usize> {
-        let n = pending.len();
-        for i in 0..n {
-            let port = (self.last + 1 + i) % n;
-            if pending[port] {
-                self.last = port;
-                return Some(port);
-            }
-        }
-        None
+        // Scan the ports after `last`, wrapping around to it.
+        let start = self.last + 1;
+        let port = (start..pending.len())
+            .chain(0..start.min(pending.len()))
+            .find(|&p| pending[p])?;
+        self.last = port;
+        Some(port)
     }
 
     fn kind(&self) -> ArbiterKind {
@@ -250,6 +248,25 @@ mod tests {
         assert_eq!(a.grant(&all, 3), Some(1));
         assert_eq!(a.grant(&[false, false, true], 4), Some(2));
         assert_eq!(a.grant(&[false, false, false], 5), None);
+    }
+
+    /// The wrap-around scan grants exactly what the modulo rotation
+    /// `(last + 1 + i) % n` grants, for every port count up to the
+    /// seven a three-core SoC with an injector uses, every rotation
+    /// state and every pending mask.
+    #[test]
+    fn round_robin_scan_matches_modulo_rotation() {
+        for n in 1..=7usize {
+            for last in 0..n {
+                for bits in 0..1u32 << n {
+                    let mask: Vec<bool> = (0..n).map(|p| bits >> p & 1 == 1).collect();
+                    let want = (0..n).map(|i| (last + 1 + i) % n).find(|&p| mask[p]);
+                    let mut a = RoundRobin { last };
+                    assert_eq!(a.grant(&mask, 0), want, "n={n} last={last} mask={bits:b}");
+                    assert_eq!(a.last, want.unwrap_or(last), "rotation state");
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,11 @@ use sbst_obs::BusObs;
 /// Maximum burst length in words (one 32-byte cache line).
 pub const MAX_BURST: usize = 8;
 
+/// Maximum number of master ports on one bus: three cores' fetch and
+/// data ports plus an injector need seven. The bound lets each
+/// arbitration cycle pass the arbiter a pending mask on the stack.
+pub const MAX_PORTS: usize = 32;
+
 /// What a bus transaction does.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReqKind {
@@ -186,15 +191,16 @@ impl Bus {
     ///
     /// # Panics
     ///
-    /// Panics for a TDMA arbiter whose explicit slot is shorter than
-    /// this bus's worst-case transaction latency (see
-    /// [`BoundParams::t_max`]).
+    /// Panics for more than [`MAX_PORTS`] ports, and for a TDMA arbiter
+    /// whose explicit slot is shorter than this bus's worst-case
+    /// transaction latency (see [`BoundParams::t_max`]).
     pub fn with_arbiter(
         flash: FlashCtl,
         sram: Sram,
         ports: usize,
         kind: ArbiterKind,
     ) -> Bus {
+        assert!(ports <= MAX_PORTS, "{ports} bus ports exceed the maximum of {MAX_PORTS}");
         let t_max = BoundParams {
             ports,
             arbiter: kind,
@@ -297,9 +303,14 @@ impl Bus {
         // Arbitrate first: the grant cycle is the first cycle of the
         // access, so an uncontended single-word SRAM read completes in
         // exactly `access_cycles` steps.
-        if self.active.is_none() {
-            let mask: Vec<bool> = self.pending.iter().map(Option::is_some).collect();
-            if let Some(port) = self.arbiter.grant(&mask, self.cycle) {
+        // With no request pending every arbiter grants nothing and keeps
+        // its state, so the idle bus skips the call.
+        if self.active.is_none() && self.pending.iter().any(Option::is_some) {
+            let mut mask = [false; MAX_PORTS];
+            for (m, p) in mask.iter_mut().zip(&self.pending) {
+                *m = p.is_some();
+            }
+            if let Some(port) = self.arbiter.grant(&mask[..self.pending.len()], self.cycle) {
                 let req = self.pending[port].take().expect("arbiter granted an idle port");
                 self.stats.grants[port] += 1;
                 self.stats.max_grant_wait[port] =
@@ -706,6 +717,12 @@ mod tests {
         );
         // The honest certificate for this platform flags the port.
         assert_eq!(b.bound_params().per_access_wcl(0), sbst_obs::PortBound::Unbounded);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceed the maximum")]
+    fn too_many_ports_panics() {
+        let _ = bus(MAX_PORTS + 1);
     }
 
     #[test]

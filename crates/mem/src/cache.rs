@@ -148,6 +148,12 @@ pub struct Cache {
     cfg: CacheConfig,
     lines: CowVec<Line>, // sets * ways, set-major
     stats: CacheStats,
+    // Index geometry, derived once from the power-of-two `cfg`: the set
+    // of `addr` is `(addr >> line_shift) & set_mask` and its tag is
+    // `addr >> tag_shift`, so a lookup divides nothing.
+    line_shift: u32,
+    set_mask: u32,
+    tag_shift: u32,
 }
 
 impl Cache {
@@ -160,10 +166,14 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Cache {
         cfg.validate();
         let n = (cfg.sets() * cfg.ways) as usize;
+        let line_shift = cfg.line_bytes.trailing_zeros();
         Cache {
             cfg,
             lines: CowVec::new(n, Line { valid: false, tag: 0, age: 0, data: [0; 8] }),
             stats: CacheStats::default(),
+            line_shift,
+            set_mask: cfg.sets() - 1,
+            tag_shift: line_shift + cfg.sets().trailing_zeros(),
         }
     }
 
@@ -183,11 +193,16 @@ impl Cache {
     }
 
     fn set_of(&self, addr: u32) -> u32 {
-        (addr / self.cfg.line_bytes) & (self.cfg.sets() - 1)
+        (addr >> self.line_shift) & self.set_mask
     }
 
     fn tag_of(&self, addr: u32) -> u32 {
-        addr / self.cfg.line_bytes / self.cfg.sets()
+        addr >> self.tag_shift
+    }
+
+    /// Index of `addr`'s word within its line.
+    fn word_of(&self, addr: u32) -> usize {
+        ((addr & (self.cfg.line_bytes - 1)) >> 2) as usize
     }
 
     fn way_range(&self, set: u32) -> std::ops::Range<usize> {
@@ -228,8 +243,7 @@ impl Cache {
         match self.find(addr) {
             Some(idx) => {
                 self.stats.read_hits += 1;
-                let word = self.lines.get(idx).data
-                    [((addr % self.cfg.line_bytes) / 4) as usize];
+                let word = self.lines.get(idx).data[self.word_of(addr)];
                 self.touch(idx, self.set_of(addr));
                 Some(word)
             }
@@ -242,8 +256,7 @@ impl Cache {
 
     /// Probe without updating LRU or statistics (harness/debug use).
     pub fn probe(&self, addr: u32) -> Option<u32> {
-        self.find(addr)
-            .map(|idx| self.lines.get(idx).data[((addr % self.cfg.line_bytes) / 4) as usize])
+        self.find(addr).map(|idx| self.lines.get(idx).data[self.word_of(addr)])
     }
 
     /// Write lookup: updates the cached copy on a hit and returns `true`;
@@ -254,7 +267,7 @@ impl Cache {
         match self.find(addr) {
             Some(idx) => {
                 self.stats.write_hits += 1;
-                let off = ((addr % self.cfg.line_bytes) / 4) as usize;
+                let off = self.word_of(addr);
                 if self.lines.get(idx).data[off] != value {
                     self.lines.get_mut(idx).data[off] = value;
                 }
@@ -476,6 +489,32 @@ mod tests {
         c.fill(0x40, &[2; 8]);
         assert_eq!(c.valid_lines(), 1);
         assert_eq!(c.probe(0x40), Some(2));
+    }
+
+    /// The precomputed shifts and mask index exactly like the division
+    /// formulas they replace, on every supported geometry.
+    #[test]
+    fn shift_indexing_matches_division() {
+        let mut prng = crate::Prng::new(0x5e7);
+        for line_bytes in [8, 16, 32] {
+            for ways in [1, 2, 3, 4] {
+                for sets in [1, 2, 64, 128] {
+                    let cfg = CacheConfig {
+                        size_bytes: line_bytes * ways * sets,
+                        ways,
+                        line_bytes,
+                        policy: WritePolicy::WriteAllocate,
+                    };
+                    let c = Cache::new(cfg);
+                    for _ in 0..200 {
+                        let addr = (prng.next_u64() as u32) & !3;
+                        assert_eq!(c.set_of(addr), (addr / line_bytes) % sets);
+                        assert_eq!(c.tag_of(addr), addr / line_bytes / sets);
+                        assert_eq!(c.word_of(addr), ((addr % line_bytes) / 4) as usize);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,9 +18,11 @@ pub const ERASED: u32 = 0xffff_ffff;
 /// of parallel fault simulations can share one copy.
 #[derive(Debug, Clone, Default)]
 pub struct FlashImage {
-    // Sparse storage: (word index, value), sorted. Images are small
-    // compared to the 8 MiB region, so a sorted vec + binary search wins.
-    words: Vec<(u32, u32)>,
+    // One contiguous run per loaded program: (first word index, words),
+    // sorted by start and non-overlapping. A read finds its run by a
+    // binary search over the few programs, then indexes the run
+    // directly; everything outside every run is erased.
+    runs: Vec<(u32, Vec<u32>)>,
 }
 
 impl FlashImage {
@@ -43,26 +45,34 @@ impl FlashImage {
             program.base(),
             program.end()
         );
-        for (i, &w) in program.words().iter().enumerate() {
-            let idx = (program.base() - FLASH_BASE) / 4 + i as u32;
-            match self.words.binary_search_by_key(&idx, |&(k, _)| k) {
-                Ok(_) => panic!(
-                    "flash overlap at {:#x} while loading program based at {:#x}",
-                    FLASH_BASE + idx * 4,
-                    program.base()
-                ),
-                Err(pos) => self.words.insert(pos, (idx, w)),
-            }
+        let words = program.words();
+        if words.is_empty() {
+            return;
         }
+        let start = (program.base() - FLASH_BASE) / 4;
+        let end = start + words.len() as u32;
+        // The first run ending past `start` is the only candidate for the
+        // lowest overlapping word; every later run starts even higher.
+        let pos = self.runs.partition_point(|(s, w)| s + w.len() as u32 <= start);
+        if let Some(&(s, _)) = self.runs.get(pos) {
+            assert!(
+                s >= end,
+                "flash overlap at {:#x} while loading program based at {:#x}",
+                FLASH_BASE + start.max(s) * 4,
+                program.base()
+            );
+        }
+        self.runs.insert(pos, (start, words.to_vec()));
     }
 
     /// Word at byte address `addr` (erased pattern if never programmed).
     pub fn word_at(&self, addr: u32) -> u32 {
         debug_assert_eq!(addr % 4, 0);
         let idx = (addr - FLASH_BASE) / 4;
-        match self.words.binary_search_by_key(&idx, |&(k, _)| k) {
-            Ok(pos) => self.words[pos].1,
-            Err(_) => ERASED,
+        let pos = self.runs.partition_point(|&(s, _)| s <= idx);
+        match pos.checked_sub(1).map(|i| &self.runs[i]) {
+            Some((s, words)) => words.get((idx - s) as usize).copied().unwrap_or(ERASED),
+            None => ERASED,
         }
     }
 
@@ -73,7 +83,7 @@ impl FlashImage {
 
     /// Number of programmed words.
     pub fn programmed_words(&self) -> usize {
-        self.words.len()
+        self.runs.iter().map(|(_, w)| w.len()).sum()
     }
 }
 
@@ -113,6 +123,8 @@ impl Default for FlashTiming {
 pub struct FlashCtl {
     image: Arc<FlashImage>,
     timing: FlashTiming,
+    /// `log2(timing.row_bytes)`: a row is `addr >> row_shift`.
+    row_shift: u32,
     /// LRU row stack, most recently used first.
     rows: Vec<u32>,
     accesses: u64,
@@ -124,13 +136,14 @@ impl FlashCtl {
     pub fn new(image: Arc<FlashImage>, timing: FlashTiming) -> FlashCtl {
         assert!(timing.row_bytes.is_power_of_two() && timing.row_bytes >= 8);
         assert!(timing.row_buffers >= 1);
-        FlashCtl { image, timing, rows: Vec::new(), accesses: 0, row_hits: 0 }
+        let row_shift = timing.row_bytes.trailing_zeros();
+        FlashCtl { image, timing, row_shift, rows: Vec::new(), accesses: 0, row_hits: 0 }
     }
 
     /// Latency in cycles of a read at `addr`, updating the row buffers.
     pub fn access(&mut self, addr: u32) -> u32 {
         self.accesses += 1;
-        let row = addr / self.timing.row_bytes;
+        let row = addr >> self.row_shift;
         if let Some(pos) = self.rows.iter().position(|&r| r == row) {
             self.rows.remove(pos);
             self.rows.insert(0, row);
@@ -209,11 +222,90 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "overlap")]
+    #[should_panic(expected = "flash overlap at 0x1004 while loading program based at 0x1004")]
     fn overlapping_programs_panic() {
         let mut img = FlashImage::new();
         img.load(&program_at(0x1000));
         img.load(&program_at(0x1004));
+    }
+
+    /// The overlap panic names the lowest doubly-programmed address,
+    /// wherever the new program starts relative to the loaded ones.
+    #[test]
+    fn overlap_panic_names_the_first_clashing_word() {
+        // Loaded: [0x1008, 0x1010) and [0x1020, 0x1028).
+        let cases = [
+            (0x1000, 4, Some(0x1008)),  // runs into the first program
+            (0x100c, 1, Some(0x100c)),  // inside it
+            (0x1010, 5, Some(0x1020)),  // overfills the gap
+            (0x1004, 12, Some(0x1008)), // spans both
+            (0x1010, 4, None),          // exactly fills the gap
+            (0x1028, 2, None),          // adjacent after the second
+            (0x1000, 2, None),          // adjacent before the first
+        ];
+        for (base, len, clash) in cases {
+            let mut img = FlashImage::new();
+            img.load(&Program::new(0x1008, vec![1, 2]));
+            img.load(&Program::new(0x1020, vec![3, 4]));
+            let program = Program::new(base, vec![9; len]);
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                img.load(&program);
+            }));
+            match clash {
+                None => assert!(result.is_ok(), "{base:#x}+{len} must load"),
+                Some(addr) => {
+                    let err = result.expect_err("overlapping load must panic");
+                    let msg = err.downcast_ref::<String>().expect("formatted message");
+                    assert_eq!(
+                        msg,
+                        &format!(
+                            "flash overlap at {addr:#x} while loading program based at {base:#x}"
+                        )
+                    );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Random non-overlapping layouts, adjacent or separated by
+        /// erased gaps and loaded in any order, read back exactly like a
+        /// word-by-word reference map.
+        #[test]
+        fn image_matches_a_word_map(
+            segments in proptest::collection::vec(
+                (0u32..3, 1usize..6, proptest::any::<u32>()),
+                1..8,
+            ),
+            base_words in 0u32..64,
+            order_seed in proptest::any::<u64>(),
+        ) {
+            let mut programs = Vec::new();
+            let mut reference = std::collections::BTreeMap::new();
+            let mut next = base_words;
+            for &(gap, len, fill) in &segments {
+                let start = next + gap;
+                let words: Vec<u32> = (0..len as u32).map(|i| fill.wrapping_add(i)).collect();
+                for (i, &w) in words.iter().enumerate() {
+                    reference.insert(start + i as u32, w);
+                }
+                programs.push(Program::new(FLASH_BASE + 4 * start, words));
+                next = start + len as u32;
+            }
+            let mut prng = crate::Prng::new(order_seed);
+            for i in (1..programs.len()).rev() {
+                programs.swap(i, prng.next_u64() as usize % (i + 1));
+            }
+            let mut img = FlashImage::new();
+            for p in &programs {
+                img.load(p);
+            }
+            proptest::prop_assert_eq!(img.programmed_words(), reference.len());
+            for idx in base_words.saturating_sub(2)..next + 3 {
+                let want = reference.get(&idx).copied().unwrap_or(ERASED);
+                proptest::prop_assert_eq!(img.word_at(FLASH_BASE + 4 * idx), want);
+            }
+        }
     }
 
     #[test]

@@ -63,7 +63,7 @@ mod watchdog;
 
 pub use arbiter::{Arbiter, ArbiterKind, FixedPriority, RoundRobin, Tdma};
 pub use bounds::BoundParams;
-pub use bus::{Bus, BusOp, BusRequest, BusResponse, BusStats, ReqKind, MAX_BURST};
+pub use bus::{Bus, BusOp, BusRequest, BusResponse, BusStats, ReqKind, MAX_BURST, MAX_PORTS};
 pub use cache::{Cache, CacheConfig, CacheStats, WritePolicy};
 pub use cow::{CowVec, COW_PAGE};
 pub use flash::{FlashCtl, FlashImage, FlashTiming, ERASED};
