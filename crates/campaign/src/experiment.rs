@@ -236,7 +236,7 @@ impl Experiment {
             let asm = if i == 0 {
                 match wrap_cached(routine.as_ref(), &env, &wrap, &format!("c{i}")) {
                     Ok(asm) => asm,
-                    Err(WrapError::TooLarge { .. }) => {
+                    Err(WrapError::TooLarge { image_bytes, capacity }) => {
                         // Split into cache-sized parts run back to back,
                         // each with its own loading/execution loop and
                         // mailbox (paper §III.2.2).
@@ -267,10 +267,9 @@ impl Experiment {
                                 }
                             }
                         }
-                        let (seq, nparts) = parts_asm.ok_or(WrapError::TooLarge {
-                            image_bytes: 0,
-                            capacity: wrap.icache_capacity,
-                        })?;
+                        // No split fits: report the unsplit image.
+                        let (seq, nparts) =
+                            parts_asm.ok_or(WrapError::TooLarge { image_bytes, capacity })?;
                         cut_parts = nparts;
                         seq
                     }

@@ -214,6 +214,25 @@ fn split_plan_preserves_union_coverage() {
     );
 }
 
+/// Regression: when no split of the routine fits the cache, the error
+/// reports the real size of the unsplit wrapped image, not 0.
+#[test]
+fn too_large_reports_the_unsplit_image_size() {
+    let ecu = sbst_campaign::fleet::EcuSpec::population(Unit::Hdcu)
+        .into_iter()
+        .find(|e| e.name.starts_with("ecu-b"))
+        .expect("population has an ecu-b variant");
+    let factory = routines_for(Unit::Hdcu);
+    match Experiment::assemble_config(&*factory, &ecu.config) {
+        Err(sbst_stl::WrapError::TooLarge { image_bytes, capacity }) => {
+            assert_eq!(capacity, 4096);
+            assert!(image_bytes > capacity as usize, "{image_bytes} bytes reported");
+        }
+        Err(e) => panic!("expected TooLarge, got {e}"),
+        Ok(_) => panic!("the HDCU routine must not fit ecu-b's 4 KiB I$"),
+    }
+}
+
 #[test]
 fn every_major_fault_category_is_detectable() {
     // Guards against "dead" fault categories: for each structurally
