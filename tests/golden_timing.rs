@@ -267,23 +267,7 @@ fn contended_timing_matches_the_fixture() {
             "{kind:?} never under test"
         );
     }
-    let measured: Vec<(String, Json)> = std::thread::scope(|s| {
-        let handles: Vec<_> = cells
-            .chunks(cells.len().div_ceil(2))
-            .map(|chunk| {
-                s.spawn(move || {
-                    chunk
-                        .iter()
-                        .map(|c| (c.name(), measure(c)))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("measuring thread panicked"))
-            .collect()
-    });
+    let measured: Vec<(String, Json)> = cells.iter().map(|c| (c.name(), measure(c))).collect();
 
     if std::env::var_os("GOLDEN_REGEN").is_some() {
         std::fs::write(fixture_path(), render(&measured)).expect("write fixture");
