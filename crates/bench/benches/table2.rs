@@ -3,7 +3,7 @@
 //! sample (the full table is regenerated by the `table2` binary).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sbst_campaign::{routines_for, run_campaign, ExecStyle, Experiment};
+use sbst_campaign::{routines_for, run_campaign_detailed, ExecStyle, Experiment};
 use sbst_cpu::{unit_fault_list, CoreKind};
 use sbst_fault::Unit;
 use sbst_soc::Scenario;
@@ -24,7 +24,7 @@ fn bench_table2(c: &mut Criterion) {
     .expect("experiment");
     let golden = uncached.golden();
     g.bench_function("uncached_scenario_campaign", |b| {
-        b.iter(|| run_campaign(&uncached, &golden, &faults, 0))
+        b.iter(|| run_campaign_detailed(&uncached, &golden, &faults, 0).0)
     });
 
     let cached = Experiment::assemble(
@@ -36,7 +36,7 @@ fn bench_table2(c: &mut Criterion) {
     .expect("experiment");
     let golden = cached.golden();
     g.bench_function("cached_campaign", |b| {
-        b.iter(|| run_campaign(&cached, &golden, &faults, 0))
+        b.iter(|| run_campaign_detailed(&cached, &golden, &faults, 0).0)
     });
     g.finish();
 }

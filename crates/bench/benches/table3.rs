@@ -3,7 +3,7 @@
 //! the `table3` binary).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sbst_campaign::{routines_for, run_campaign, ExecStyle, Experiment};
+use sbst_campaign::{routines_for, run_campaign_detailed, ExecStyle, Experiment};
 use sbst_cpu::{unit_fault_list, CoreKind};
 use sbst_fault::Unit;
 use sbst_soc::Scenario;
@@ -29,7 +29,7 @@ fn bench_table3(c: &mut Criterion) {
             g.bench_with_input(
                 BenchmarkId::new(format!("{unit}"), name),
                 &(),
-                |b, ()| b.iter(|| run_campaign(&exp, &golden, &faults, 0)),
+                |b, ()| b.iter(|| run_campaign_detailed(&exp, &golden, &faults, 0).0),
             );
         }
     }

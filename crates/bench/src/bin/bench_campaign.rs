@@ -24,8 +24,8 @@ use std::time::Instant;
 
 use sbst_campaign::tables::Effort;
 use sbst_campaign::{
-    routines_for, run_campaign_detailed, run_campaign_ppsfp_telemetry,
-    run_campaign_warm_detailed, run_campaign_warm_telemetry, ExecStyle, Experiment,
+    routines_for, run_campaign_detailed, run_campaign_ppsfp_detailed,
+    run_campaign_warm_detailed, ExecStyle, Experiment, PpsfpStats,
 };
 use sbst_cpu::{unit_fault_list, CoreKind};
 use sbst_fault::{collapse, Unit};
@@ -108,11 +108,10 @@ fn main() {
     // The bit-parallel tier, timed the same way (best of the passes).
     let mut ppsfp_t = Timed { seconds: f64::INFINITY, faults_per_sec: 0.0 };
     let mut ppsfp = Vec::new();
-    let mut ppsfp_tel = sbst_obs::PpsfpTelemetry::default();
+    let mut stats = PpsfpStats::default();
     for _ in 0..passes {
         let t = Instant::now();
-        (_, ppsfp, ppsfp_tel) =
-            run_campaign_ppsfp_telemetry(&exp, &golden, &faults, effort.threads);
+        (_, ppsfp, stats) = run_campaign_ppsfp_detailed(&exp, &golden, &faults, effort.threads);
         ppsfp_t = best(ppsfp_t, timed(t, faults.len()));
     }
 
@@ -129,16 +128,15 @@ fn main() {
         cold_t.seconds, cold_t.faults_per_sec, warm_t.seconds, warm_t.faults_per_sec
     );
     println!(
-        "ppsfp: {:.2}s ({:.1} faults/sec) | {:.2}x over warm | {}",
-        ppsfp_t.seconds, ppsfp_t.faults_per_sec, ppsfp_speedup, ppsfp_tel
+        "ppsfp: {:.2}s ({:.1} faults/sec) | {:.2}x over warm | {stats:?}",
+        ppsfp_t.seconds, ppsfp_t.faults_per_sec, ppsfp_speedup
     );
-
-    // One untimed telemetry pass for the observability fields: verdict
-    // mix, warm-start hit rate, and periodic progress snapshots.
-    let (telemetry_result, _, telemetry) =
-        run_campaign_warm_telemetry(&exp, &golden, &faults, effort.threads);
-    assert_eq!(telemetry_result, cold_result, "telemetry pass changed verdicts");
-    println!("telemetry: {telemetry}");
+    // Every fault but a hang leaves the warm tail on its early verdict.
+    let warm_hit_rate = if cold_result.total == 0 {
+        0.0
+    } else {
+        1.0 - cold_result.hang as f64 / cold_result.total as f64
+    };
 
     let pass = |t: &Timed| {
         Json::Obj(vec![
@@ -146,7 +144,7 @@ fn main() {
             ("faults_per_sec".into(), Json::Num(round2(t.faults_per_sec))),
         ])
     };
-    let doc = Json::Obj(vec![
+    let mut doc = Json::Obj(vec![
         ("bench".into(), Json::Str("campaign_throughput".into())),
         ("mode".into(), Json::Str(mode.clone())),
         ("unit".into(), Json::Str("forwarding".into())),
@@ -163,41 +161,25 @@ fn main() {
                 ("seconds".into(), Json::Num(round3(ppsfp_t.seconds))),
                 ("faults_per_sec".into(), Json::Num(round2(ppsfp_t.faults_per_sec))),
                 ("speedup_vs_warm".into(), Json::Num(round3(ppsfp_speedup))),
-                ("words".into(), Json::int(ppsfp_tel.words)),
-                ("ridden_words".into(), Json::int(ppsfp_tel.ridden_words)),
-                ("pack_density".into(), Json::Num(round3(ppsfp_tel.pack_density))),
-                ("fallback_rate".into(), Json::Num(round3(ppsfp_tel.fallback_rate))),
-                (
-                    "loop_short_circuits".into(),
-                    Json::int(ppsfp_tel.loop_short_circuits),
-                ),
+                ("words".into(), Json::int(stats.words as u64)),
+                ("ridden_words".into(), Json::int(stats.ridden_words as u64)),
+                ("pack_density".into(), Json::Num(round3(stats.pack_density))),
+                ("fallback_rate".into(), Json::Num(round3(stats.fallback_rate))),
+                ("loop_short_circuits".into(), Json::int(stats.loop_short_circuits as u64)),
             ]),
         ),
         ("verdicts_equivalent".into(), Json::Bool(true)),
         ("verdicts".into(), cold_result.mix().to_json()),
-        (
-            "warm_hit_rate".into(),
-            telemetry.warm_hit_rate.map_or(Json::Null, |r| Json::Num(round3(r))),
-        ),
-        (
-            "progress".into(),
-            Json::Arr(telemetry.progress.iter().map(|s| s.to_json()).collect()),
-        ),
+        ("warm_hit_rate".into(), Json::Num(round3(warm_hit_rate))),
     ]);
-    // This bench owns the top-level campaign fields but other benches
-    // (chaos_sweep, fleet_campaign, certify) merge their sections into
-    // the same file — carry those over instead of wiping them.
-    let mut doc = doc;
-    if let Ok(Json::Obj(old)) =
-        std::fs::read_to_string("BENCH_campaign.json").map(|t| {
-            parse_json(&t).unwrap_or(Json::Obj(Vec::new()))
-        })
-    {
-        if let Json::Obj(fields) = &mut doc {
-            for (key, value) in old {
-                if !fields.iter().any(|(k, _)| *k == key) {
-                    fields.push((key, value));
-                }
+    // chaos_sweep, fleet_campaign and certify own the `chaos`, `fleet`
+    // and `certify` sections of the same file: carry exactly those
+    // over, so a key this bench stops writing does not linger.
+    let old = std::fs::read_to_string("BENCH_campaign.json").ok();
+    if let Some(old) = old.and_then(|t| parse_json(&t).ok()) {
+        for key in ["chaos", "fleet", "certify"] {
+            if let Some(section) = old.get(key) {
+                doc.set(key, section.clone());
             }
         }
     }
@@ -252,8 +234,8 @@ fn ppsfp_mode(tier: &str) {
     let (_, warm) = run_campaign_warm_detailed(&exp, &golden, &faults, effort.threads);
     let warm_t = timed(t, faults.len());
     let t = Instant::now();
-    let (result, ppsfp, telemetry) =
-        run_campaign_ppsfp_telemetry(&exp, &golden, &faults, effort.threads);
+    let (result, ppsfp, stats) =
+        run_campaign_ppsfp_detailed(&exp, &golden, &faults, effort.threads);
     let ppsfp_t = timed(t, faults.len());
 
     assert_eq!(warm, ppsfp, "PPSFP verdicts diverged from the serial warm path");
@@ -263,7 +245,7 @@ fn ppsfp_mode(tier: &str) {
         "warm: {:.2}s ({:.1} faults/sec) | ppsfp: {:.2}s ({:.1} faults/sec) | {speedup:.2}x",
         warm_t.seconds, warm_t.faults_per_sec, ppsfp_t.seconds, ppsfp_t.faults_per_sec
     );
-    println!("telemetry: {telemetry}");
+    println!("{stats:?}; {}", result.mix());
     if cores() >= MIN_CORES {
         assert!(
             speedup >= 2.0,

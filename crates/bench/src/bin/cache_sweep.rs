@@ -6,7 +6,9 @@
 //! Usage: `cache_sweep [quick|standard]`
 
 use sbst_campaign::tables::Effort;
-use sbst_campaign::{routines_for, run_campaign, ExecStyle, Experiment, ExperimentConfig};
+use sbst_campaign::{
+    routines_for, run_campaign_detailed, ExecStyle, Experiment, ExperimentConfig,
+};
 use sbst_cpu::{unit_fault_list, CoreKind};
 use sbst_fault::Unit;
 use sbst_mem::{CacheConfig, WritePolicy};
@@ -47,7 +49,7 @@ fn main() {
             sigs.push(golden.signature);
             if seed == 0 {
                 cycles = golden.cycles;
-                fc = run_campaign(&exp, &golden, &faults, effort.threads).coverage();
+                fc = run_campaign_detailed(&exp, &golden, &faults, effort.threads).0.coverage();
             }
         }
         sigs.dedup();

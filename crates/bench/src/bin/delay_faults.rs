@@ -7,7 +7,7 @@
 //! Usage: `delay_faults [quick|standard]`
 
 use sbst_campaign::tables::Effort;
-use sbst_campaign::{routines_for, run_campaign, ExecStyle, Experiment};
+use sbst_campaign::{routines_for, run_campaign_detailed, ExecStyle, Experiment};
 use sbst_cpu::{delay_fault_list, CoreKind};
 use sbst_fault::Unit;
 use sbst_soc::Scenario;
@@ -28,11 +28,13 @@ fn main() {
             Experiment::assemble(&*factory, kind, ExecStyle::LegacyUncached, &scenario)
                 .expect("uncached experiment");
         let golden = uncached.golden();
-        let fc_uncached = run_campaign(&uncached, &golden, &sample, effort.threads).coverage();
+        let fc_uncached =
+            run_campaign_detailed(&uncached, &golden, &sample, effort.threads).0.coverage();
         let cached = Experiment::assemble(&*factory, kind, ExecStyle::CacheWrapped, &scenario)
             .expect("cached experiment");
         let golden = cached.golden();
-        let fc_cached = run_campaign(&cached, &golden, &sample, effort.threads).coverage();
+        let fc_cached =
+            run_campaign_detailed(&cached, &golden, &sample, effort.threads).0.coverage();
         println!(
             "{:>4} | {:>12} | {:>22.2} | {:>20.2}",
             kind,

@@ -36,7 +36,7 @@ use sbst_campaign::fleet::{
 };
 use sbst_cpu::unit_fault_list;
 use sbst_fault::{FaultList, FaultSite, Unit, Verdict};
-use sbst_obs::{Json, MetricsHub};
+use sbst_obs::{Json, MetricsHub, VerdictMix};
 
 /// The deterministic work inventory for a mode — parent and `--worker`
 /// children rebuild the identical plan from this one function, so no
@@ -120,7 +120,8 @@ fn run_worker(args: &[String]) {
     std::fs::write(out, result.to_json()).expect("write shard result");
 }
 
-/// Zero-silent-losses + bit-identity checks shared by every phase.
+/// Zero-silent-losses, bit-identity and verdict-mix checks shared by
+/// every phase.
 fn assert_report(report: &FleetReport, baseline: &[Vec<Verdict>], label: &str) {
     let c = report.telemetry.counters;
     assert_eq!(c.completed + c.quarantined, c.shards, "{label}: every shard terminal");
@@ -137,6 +138,17 @@ fn assert_report(report: &FleetReport, baseline: &[Vec<Verdict>], label: &str) {
             }
         }
     }
+    let merged: Vec<Verdict> = report.verdicts.iter().flatten().flatten().copied().collect();
+    let count = |v: Verdict| merged.iter().filter(|&&m| m == v).count() as u64;
+    let mix = VerdictMix {
+        wrong_signature: count(Verdict::WrongSignature),
+        test_fail: count(Verdict::TestFail),
+        unexpected_trap: count(Verdict::UnexpectedTrap),
+        hang: count(Verdict::Hang),
+        undetected: count(Verdict::Undetected),
+        sim_error: count(Verdict::SimError),
+    };
+    assert_eq!(report.telemetry.mix, mix, "{label}: verdict mix of the merged shards");
 }
 
 fn write_dashboard(report: &FleetReport, path: &str) {

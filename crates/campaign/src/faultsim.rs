@@ -27,7 +27,7 @@ pub trait FaultGrader: Sync {
 }
 
 /// The production grader: a fault-free reference plus the experiment.
-pub struct ExperimentGrader<'a> {
+pub(crate) struct ExperimentGrader<'a> {
     /// The configured experiment.
     pub experiment: &'a Experiment,
     /// Its golden observation.
@@ -44,7 +44,7 @@ impl FaultGrader for ExperimentGrader<'_> {
 /// fault and simulates only the tail with early-verdict exit (the
 /// campaign fast path; verdict-equivalent to [`ExperimentGrader`],
 /// asserted by the warm-start test suite).
-pub struct WarmExperimentGrader<'a> {
+pub(crate) struct WarmExperimentGrader<'a> {
     /// The configured experiment.
     pub experiment: &'a Experiment,
     /// Its golden observation.
@@ -128,16 +128,28 @@ impl CampaignResult {
         100.0 * self.detected() as f64 / self.total as f64
     }
 
-    pub(crate) fn record(&mut self, verdict: Verdict) {
-        self.total += 1;
-        match verdict {
-            Verdict::WrongSignature => self.wrong_signature += 1,
-            Verdict::TestFail => self.test_fail += 1,
-            Verdict::UnexpectedTrap => self.unexpected_trap += 1,
-            Verdict::Hang => self.hang += 1,
-            Verdict::Undetected => self.undetected += 1,
-            Verdict::SimError => self.sim_errors += 1,
+    /// Counts `n` faults graded `verdict` — the one place a verdict
+    /// maps onto a counter.
+    pub(crate) fn record(&mut self, verdict: Verdict, n: usize) {
+        self.total += n;
+        let counter = match verdict {
+            Verdict::WrongSignature => &mut self.wrong_signature,
+            Verdict::TestFail => &mut self.test_fail,
+            Verdict::UnexpectedTrap => &mut self.unexpected_trap,
+            Verdict::Hang => &mut self.hang,
+            Verdict::Undetected => &mut self.undetected,
+            Verdict::SimError => &mut self.sim_errors,
+        };
+        *counter += n;
+    }
+
+    /// Aggregates a stream of verdicts.
+    pub(crate) fn tally(verdicts: impl IntoIterator<Item = Verdict>) -> CampaignResult {
+        let mut result = CampaignResult::default();
+        for v in verdicts {
+            result.record(v, 1);
         }
+        result
     }
 
     /// The verdict distribution in the observability layer's type.
@@ -154,11 +166,7 @@ impl CampaignResult {
 
     /// Rebuilds the aggregate from per-fault records.
     pub fn from_records(records: &[(FaultSite, Verdict)]) -> CampaignResult {
-        let mut result = CampaignResult::default();
-        for &(_, v) in records {
-            result.record(v);
-        }
-        result
+        CampaignResult::tally(records.iter().map(|&(_, v)| v))
     }
 }
 
@@ -268,8 +276,23 @@ pub(crate) fn grade_pending(
     });
 }
 
+/// Pairs every site with its filled verdict slot, in fault-list order,
+/// and aggregates them.
+pub(crate) fn finish(
+    sites: &[FaultSite],
+    slots: Mutex<Vec<Option<Verdict>>>,
+) -> (CampaignResult, Vec<(FaultSite, Verdict)>) {
+    let records: Vec<(FaultSite, Verdict)> = sites
+        .iter()
+        .zip(slots.into_inner().expect("verdict slots"))
+        .map(|(&s, v)| (s, v.expect("every fault graded")))
+        .collect();
+    (CampaignResult::from_records(&records), records)
+}
+
 /// Detailed campaign against any [`FaultGrader`]: per-fault verdicts in
-/// fault-list order plus every recorded simulation crash.
+/// fault-list order plus every recorded simulation crash. The seam the
+/// panic-isolation tests inject misbehaving graders through.
 pub fn run_campaign_graded(
     grader: &dyn FaultGrader,
     faults: &FaultList,
@@ -279,36 +302,17 @@ pub fn run_campaign_graded(
     let pending = Mutex::new(vec![None::<Verdict>; sites.len()]);
     let errors = Mutex::new(Vec::new());
     grade_pending(grader, sites, &pending, &errors, threads, &|_| {});
-    let records: Vec<(FaultSite, Verdict)> = sites
-        .iter()
-        .zip(pending.into_inner().expect("verdict slots"))
-        .map(|(&s, v)| (s, v.expect("every fault graded")))
-        .collect();
-    (
-        CampaignResult::from_records(&records),
-        records,
-        errors.into_inner().expect("error log"),
-    )
+    let (result, records) = finish(sites, pending);
+    (result, records, errors.into_inner().expect("error log"))
 }
 
-/// Fault-simulates every fault of `faults` against `experiment`,
-/// fanning out over `threads` worker threads (0 = available
-/// parallelism). Each fault is an independent full-SoC simulation
-/// sharing the frozen Flash image. A crashing simulation is recorded as
-/// [`Verdict::SimError`] rather than aborting the campaign.
-pub fn run_campaign(
-    experiment: &Experiment,
-    golden: &Observation,
-    faults: &FaultList,
-    threads: usize,
-) -> CampaignResult {
-    let grader = ExperimentGrader { experiment, golden };
-    run_campaign_graded(&grader, faults, threads).0
-}
-
-/// Like [`run_campaign`] but returns the per-fault verdicts (in fault-list
-/// order) alongside the aggregate — for diagnosis, dashboards, or the
-/// union-coverage analyses of split plans.
+/// The cold reference tier: fault-simulates every fault of `faults`
+/// against `experiment`, each as an independent full-SoC simulation
+/// from reset sharing the frozen Flash image, fanned out over `threads`
+/// worker threads (0 = available parallelism). Returns the aggregate
+/// and the per-fault verdicts in fault-list order. A crashing
+/// simulation is recorded as [`Verdict::SimError`] rather than
+/// aborting the campaign.
 pub fn run_campaign_detailed(
     experiment: &Experiment,
     golden: &Observation,
@@ -320,22 +324,12 @@ pub fn run_campaign_detailed(
     (result, records)
 }
 
-/// [`run_campaign`] through the warm-start fast path: the golden-prefix
-/// snapshot is captured once, then every fault clones it and simulates
-/// only the tail with early-verdict exit. Verdict-equivalent to the
-/// cold path (asserted over full collapsed fault lists by the
-/// warm-start test suite), several times faster on hang-heavy lists.
-pub fn run_campaign_warm(
-    experiment: &Experiment,
-    golden: &Observation,
-    faults: &FaultList,
-    threads: usize,
-) -> CampaignResult {
-    run_campaign_warm_detailed(experiment, golden, faults, threads).0
-}
-
-/// Like [`run_campaign_warm`] but returns the per-fault verdicts (in
-/// fault-list order) alongside the aggregate.
+/// [`run_campaign_detailed`] through the warm-start fast path: the
+/// golden-prefix snapshot is captured once, then every fault clones it
+/// and simulates only the tail with early-verdict exit. Verdict-
+/// equivalent to the cold path (asserted over full collapsed fault
+/// lists by the warm-start test suite), several times faster on
+/// hang-heavy lists.
 pub fn run_campaign_warm_detailed(
     experiment: &Experiment,
     golden: &Observation,
@@ -408,17 +402,8 @@ pub fn run_campaign_collapsed(
     let (_, records) =
         run_campaign_detailed(experiment, golden, collapsed.representatives(), threads);
     let mut result = CampaignResult::default();
-    for (i, (_, verdict)) in records.iter().enumerate() {
-        let n = collapsed.class_size(i);
-        result.total += n;
-        match verdict {
-            Verdict::WrongSignature => result.wrong_signature += n,
-            Verdict::TestFail => result.test_fail += n,
-            Verdict::UnexpectedTrap => result.unexpected_trap += n,
-            Verdict::Hang => result.hang += n,
-            Verdict::Undetected => result.undetected += n,
-            Verdict::SimError => result.sim_errors += n,
-        }
+    for (i, &(_, verdict)) in records.iter().enumerate() {
+        result.record(verdict, collapsed.class_size(i));
     }
     result
 }

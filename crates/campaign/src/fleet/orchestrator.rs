@@ -27,14 +27,15 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use sbst_fault::Verdict;
-use sbst_obs::{FleetTelemetry, TraceEvent, TraceKind, VerdictMix};
+use sbst_obs::{FleetTelemetry, TraceEvent, TraceKind};
 use sbst_stl::WrapError;
 
 use crate::checkpoint::{fnv, Checkpoint};
 use crate::experiment::{Experiment, Observation, Snapshot};
+use crate::faultsim::CampaignResult;
 
 use super::chaos::{ChaosAction, WorkerChaos};
-use super::lease::{FailOutcome, FailureKind, LeasePolicy, LeaseTable, ShardFate};
+use super::lease::{FailOutcome, FailureKind, Lease, LeasePolicy, LeaseTable, ShardFate};
 use super::shard::{EcuSpec, FleetPlan, Shard};
 
 /// Grades one fault of one ECU variant — the seam the fleet engine
@@ -383,6 +384,75 @@ impl EventLog {
     }
 }
 
+/// Accounts one sealed attempt result in either pool: a broken seal
+/// fails the lease as [`FailureKind::Corrupt`]; a valid result
+/// completes it, notes a checkpoint resume and logs `ShardDone`.
+/// Returns the verdicts to merge, or `None` when the result was
+/// rejected or arrived on a stale epoch (the shard was stolen and
+/// re-graded; the table counted the late result).
+pub(crate) fn accept(
+    plan: &FleetPlan,
+    table: &LeaseTable,
+    log: &EventLog,
+    core: Option<u8>,
+    lease: &Lease,
+    result: ShardResult,
+) -> Option<Vec<Verdict>> {
+    let shard = &plan.shards[lease.shard];
+    let ecu_fp = plan.ecus[shard.ecu].fingerprint();
+    if !result.is_valid(lease.shard, plan.shard_fingerprint(shard), ecu_fp) {
+        let fail = table.fail(lease.shard, lease.epoch, FailureKind::Corrupt);
+        log.fail_event(core, lease.shard, FailureKind::Corrupt, fail);
+        return None;
+    }
+    if !table.complete(lease.shard, lease.epoch, result.resumed) {
+        return None;
+    }
+    if result.resumed > 0 {
+        table.note_resume();
+    }
+    log.push(core, TraceKind::ShardDone { shard: lease.shard as u32, restored: result.resumed });
+    Some(result.verdicts)
+}
+
+/// Closes a fleet run in either pool: stamps the lease counters, the
+/// restored-fault count, the throughput over graded + restored faults
+/// and the verdict mix of every merged shard onto `telemetry`, whose
+/// injection counters and `faults_graded` the pool filled in.
+pub(crate) fn report(
+    table: &LeaseTable,
+    log: EventLog,
+    verdicts: Vec<Option<Vec<Verdict>>>,
+    mut telemetry: FleetTelemetry,
+) -> FleetReport {
+    let fates = table.fates();
+    debug_assert!(
+        fates.iter().zip(&verdicts).all(|(f, v)| {
+            matches!(f, ShardFate::Completed { .. }) == v.is_some()
+        }),
+        "every completed shard has merged verdicts and vice versa"
+    );
+    let elapsed = log.start.elapsed().as_secs_f64();
+    telemetry.counters = table.counters();
+    telemetry.faults_restored = fates
+        .iter()
+        .map(|f| match f {
+            ShardFate::Completed { resumed_faults, .. } => u64::from(*resumed_faults),
+            ShardFate::Quarantined { .. } => 0,
+        })
+        .sum();
+    let done = telemetry.faults_graded + telemetry.faults_restored;
+    telemetry.elapsed_secs = elapsed;
+    telemetry.faults_per_sec = if elapsed > 0.0 { done as f64 / elapsed } else { 0.0 };
+    telemetry.mix = CampaignResult::tally(verdicts.iter().flatten().flatten().copied()).mix();
+    FleetReport {
+        fates,
+        verdicts,
+        telemetry,
+        events: log.events.into_inner().expect("event log"),
+    }
+}
+
 /// Serial reference run: every shard graded in plan order on the
 /// calling thread, no leases, no chaos. The baseline the headline
 /// property compares [`run_fleet`] against.
@@ -408,7 +478,6 @@ pub fn run_fleet(plan: &FleetPlan, grader: &dyn FleetGrader, cfg: &FleetConfig) 
     let table = LeaseTable::new(plan.shard_count(), cfg.policy);
     let merged: Mutex<Vec<Option<Vec<Verdict>>>> = Mutex::new(vec![None; plan.shard_count()]);
     let tally = InjectedTally::default();
-    let restored_total = AtomicU64::new(0);
     let log = EventLog::new();
 
     std::thread::scope(|scope| {
@@ -416,7 +485,6 @@ pub fn run_fleet(plan: &FleetPlan, grader: &dyn FleetGrader, cfg: &FleetConfig) 
             let table = &table;
             let merged = &merged;
             let tally = &tally;
-            let restored_total = &restored_total;
             let log = &log;
             scope.spawn(move || {
                 let core = Some(worker as u8);
@@ -450,32 +518,8 @@ pub fn run_fleet(plan: &FleetPlan, grader: &dyn FleetGrader, cfg: &FleetConfig) 
                     }));
                     match outcome {
                         Ok(AttemptOutcome::Sealed(result)) => {
-                            let fault_fp = plan.shard_fingerprint(shard);
-                            let ecu_fp = plan.ecus[shard.ecu].fingerprint();
-                            if result.is_valid(lease.shard, fault_fp, ecu_fp) {
-                                if table.complete(lease.shard, lease.epoch, result.resumed) {
-                                    if result.resumed > 0 {
-                                        table.note_resume();
-                                        restored_total
-                                            .fetch_add(u64::from(result.resumed), Ordering::Relaxed);
-                                    }
-                                    log.push(
-                                        core,
-                                        TraceKind::ShardDone {
-                                            shard: lease.shard as u32,
-                                            restored: result.resumed,
-                                        },
-                                    );
-                                    merged.lock().expect("merged verdicts")[lease.shard] =
-                                        Some(result.verdicts);
-                                }
-                                // else: stale epoch — the shard was
-                                // stolen and re-graded; drop silently
-                                // (the table counted the late result).
-                            } else {
-                                let fail =
-                                    table.fail(lease.shard, lease.epoch, FailureKind::Corrupt);
-                                log.fail_event(core, lease.shard, FailureKind::Corrupt, fail);
+                            if let Some(v) = accept(plan, table, log, core, &lease, result) {
+                                merged.lock().expect("merged verdicts")[lease.shard] = Some(v);
                             }
                         }
                         Ok(AttemptOutcome::Cancelled) => {
@@ -501,38 +545,14 @@ pub fn run_fleet(plan: &FleetPlan, grader: &dyn FleetGrader, cfg: &FleetConfig) 
         }
     });
 
-    let verdicts = merged.into_inner().expect("merged verdicts");
-    let mut mix = VerdictMix::default();
-    for v in verdicts.iter().flatten().flatten() {
-        match v {
-            Verdict::WrongSignature => mix.wrong_signature += 1,
-            Verdict::TestFail => mix.test_fail += 1,
-            Verdict::UnexpectedTrap => mix.unexpected_trap += 1,
-            Verdict::Hang => mix.hang += 1,
-            Verdict::Undetected => mix.undetected += 1,
-            Verdict::SimError => mix.sim_error += 1,
-        }
-    }
-    let elapsed = log.start.elapsed().as_secs_f64();
-    let graded = tally.faults_graded.load(Ordering::Relaxed);
-    let restored = restored_total.load(Ordering::Relaxed);
     let telemetry = FleetTelemetry {
-        counters: table.counters(),
-        injected_panics: tally.panics.load(Ordering::Relaxed),
-        injected_hangs: tally.hangs.load(Ordering::Relaxed),
-        injected_slowdowns: tally.slows.load(Ordering::Relaxed),
-        injected_corruptions: tally.corruptions.load(Ordering::Relaxed),
-        checkpoints_rejected: tally.checkpoints_rejected.load(Ordering::Relaxed),
-        faults_graded: graded,
-        faults_restored: restored,
-        elapsed_secs: elapsed,
-        faults_per_sec: if elapsed > 0.0 { (graded + restored) as f64 / elapsed } else { 0.0 },
-        mix,
+        injected_panics: tally.panics.into_inner(),
+        injected_hangs: tally.hangs.into_inner(),
+        injected_slowdowns: tally.slows.into_inner(),
+        injected_corruptions: tally.corruptions.into_inner(),
+        checkpoints_rejected: tally.checkpoints_rejected.into_inner(),
+        faults_graded: tally.faults_graded.into_inner(),
+        ..FleetTelemetry::default()
     };
-    FleetReport {
-        fates: table.fates(),
-        verdicts,
-        telemetry,
-        events: log.events.into_inner().expect("event log"),
-    }
+    report(&table, log, merged.into_inner().expect("merged verdicts"), telemetry)
 }

@@ -19,15 +19,15 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::AtomicBool;
 
 use sbst_fault::Verdict;
-use sbst_obs::{FleetTelemetry, TraceKind, VerdictMix};
+use sbst_obs::{FleetTelemetry, TraceKind};
 
 use crate::checkpoint::{malformed, CheckpointError, Parser};
 
 use super::chaos::ChaosAction;
-use super::lease::{FailureKind, Lease, LeaseTable, ShardFate};
+use super::lease::{FailureKind, Lease, LeaseTable};
 use super::orchestrator::{
-    execute_shard, AttemptOutcome, EventLog, FleetConfig, FleetGrader, FleetReport, InjectedTally,
-    ShardResult,
+    accept, execute_shard, report, AttemptOutcome, EventLog, FleetConfig, FleetGrader,
+    FleetReport, InjectedTally, ShardResult,
 };
 use super::shard::{FleetPlan, Shard};
 
@@ -179,8 +179,8 @@ pub fn run_fleet_process(
     let mut merged: Vec<Option<Vec<Verdict>>> = vec![None; plan.shard_count()];
     let log = EventLog::new();
     let mut active: Vec<ActiveChild> = Vec::new();
-    let mut injected = [0u64; 4]; // panic, hang, slow, corrupt (scheduled)
-    let mut restored_total = 0u64;
+    // Injections are counted as scheduled; graded faults as accepted.
+    let mut telemetry = FleetTelemetry::default();
 
     while !table.all_settled() || !active.is_empty() {
         // 1. Expire stale leases; kill the children that held them.
@@ -225,27 +225,10 @@ pub fn run_fleet_process(
             let _ = std::fs::remove_file(&a.out);
             match result {
                 Some(result) => {
-                    let shard = &plan.shards[a.shard];
-                    let fault_fp = plan.shard_fingerprint(shard);
-                    let ecu_fp = plan.ecus[shard.ecu].fingerprint();
-                    if result.is_valid(a.shard, fault_fp, ecu_fp) {
-                        if table.complete(a.shard, a.lease.epoch, result.resumed) {
-                            if result.resumed > 0 {
-                                table.note_resume();
-                                restored_total += u64::from(result.resumed);
-                            }
-                            log.push(
-                                None,
-                                TraceKind::ShardDone {
-                                    shard: a.shard as u32,
-                                    restored: result.resumed,
-                                },
-                            );
-                            merged[a.shard] = Some(result.verdicts);
-                        }
-                    } else {
-                        let fail = table.fail(a.shard, a.lease.epoch, FailureKind::Corrupt);
-                        log.fail_event(None, a.shard, FailureKind::Corrupt, fail);
+                    let resumed = u64::from(result.resumed);
+                    if let Some(v) = accept(plan, &table, &log, None, &a.lease, result) {
+                        telemetry.faults_graded += (v.len() as u64).saturating_sub(resumed);
+                        merged[a.shard] = Some(v);
                     }
                 }
                 None => {
@@ -267,10 +250,10 @@ pub fn run_fleet_process(
                 TraceKind::ShardLease { shard: lease.shard as u32, attempt: lease.attempt },
             );
             match cfg.chaos.roll(lease.shard, lease.attempt, shard.len) {
-                ChaosAction::Panic { .. } => injected[0] += 1,
-                ChaosAction::Hang { .. } => injected[1] += 1,
-                ChaosAction::Slow => injected[2] += 1,
-                ChaosAction::Corrupt => injected[3] += 1,
+                ChaosAction::Panic { .. } => telemetry.injected_panics += 1,
+                ChaosAction::Hang { .. } => telemetry.injected_hangs += 1,
+                ChaosAction::Slow => telemetry.injected_slowdowns += 1,
+                ChaosAction::Corrupt => telemetry.injected_corruptions += 1,
                 ChaosAction::None => {}
             }
             let out = scratch.join(format!("shard-{:04}-e{}.json", lease.shard, lease.epoch));
@@ -295,46 +278,7 @@ pub fn run_fleet_process(
         std::thread::sleep(cfg.poll);
     }
     let _ = std::fs::remove_dir_all(&scratch);
-
-    let mut mix = VerdictMix::default();
-    for v in merged.iter().flatten().flatten() {
-        match v {
-            Verdict::WrongSignature => mix.wrong_signature += 1,
-            Verdict::TestFail => mix.test_fail += 1,
-            Verdict::UnexpectedTrap => mix.unexpected_trap += 1,
-            Verdict::Hang => mix.hang += 1,
-            Verdict::Undetected => mix.undetected += 1,
-            Verdict::SimError => mix.sim_error += 1,
-        }
-    }
-    let completed_faults: u64 = plan
-        .shards
-        .iter()
-        .filter(|s| merged[s.index].is_some())
-        .map(|s| s.len as u64)
-        .sum();
-    let elapsed = log.start.elapsed().as_secs_f64();
-    let graded = completed_faults.saturating_sub(restored_total);
-    let telemetry = FleetTelemetry {
-        counters: table.counters(),
-        injected_panics: injected[0],
-        injected_hangs: injected[1],
-        injected_slowdowns: injected[2],
-        injected_corruptions: injected[3],
-        checkpoints_rejected: 0,
-        faults_graded: graded,
-        faults_restored: restored_total,
-        elapsed_secs: elapsed,
-        faults_per_sec: if elapsed > 0.0 { completed_faults as f64 / elapsed } else { 0.0 },
-        mix,
-    };
-    let fates = table.fates();
-    debug_assert_eq!(
-        fates.iter().filter(|f| matches!(f, ShardFate::Completed { .. })).count(),
-        merged.iter().filter(|v| v.is_some()).count(),
-        "every completed shard has merged verdicts and vice versa"
-    );
-    Ok(FleetReport { fates, verdicts: merged, telemetry, events: log.events.into_inner().expect("event log") })
+    Ok(report(&table, log, merged, telemetry))
 }
 
 #[cfg(test)]

@@ -9,16 +9,18 @@
 //! * [`Experiment`] — one (routine, core-under-test, execution style,
 //!   scenario) configuration, including the parallel execution of the
 //!   same routine on the other cores;
-//! * [`run_campaign`] — grades a [`FaultList`](sbst_fault::FaultList)
-//!   against an experiment, one full-SoC simulation per fault, fanned
-//!   out over worker threads;
+//! * [`run_campaign_detailed`] — grades a
+//!   [`FaultList`](sbst_fault::FaultList) against an experiment, one
+//!   full-SoC simulation per fault, fanned out over worker threads;
+//!   [`run_campaign_warm_detailed`] and [`run_campaign_ppsfp_detailed`]
+//!   return the same verdicts faster;
 //! * [`tables`] — regenerates the paper's Tables I–IV with configurable
 //!   [`Effort`](tables::Effort).
 //!
 //! ## Example: grade a few ICU faults
 //!
 //! ```
-//! use sbst_campaign::{routines_for, run_campaign, ExecStyle, Experiment};
+//! use sbst_campaign::{routines_for, run_campaign_detailed, ExecStyle, Experiment};
 //! use sbst_cpu::{unit_fault_list, CoreKind};
 //! use sbst_fault::Unit;
 //! use sbst_soc::Scenario;
@@ -32,8 +34,9 @@
 //! ).expect("experiment");
 //! let golden = exp.golden();
 //! let faults = unit_fault_list(CoreKind::A, Unit::Icu).sample(60);
-//! let result = run_campaign(&exp, &golden, &faults, 0);
+//! let (result, records) = run_campaign_detailed(&exp, &golden, &faults, 0);
 //! assert_eq!(result.total, faults.len());
+//! assert_eq!(records.len(), faults.len());
 //! ```
 
 pub mod ablation;
@@ -45,7 +48,6 @@ pub mod split;
 mod faultsim;
 mod ppsfp;
 pub mod tables;
-mod telemetry;
 
 pub use chaos::{run_chaos_campaign, ChaosCell, ChaosReport, ChaosSweepConfig, ChaosTelemetry};
 pub use checkpoint::{
@@ -56,16 +58,11 @@ pub use experiment::{
     ExecStyle, Experiment, ExperimentConfig, Observation, RoutineFactory, Snapshot,
 };
 pub use faultsim::{
-    run_campaign, run_campaign_collapsed, run_campaign_detailed, run_campaign_graded,
-    run_campaign_warm, run_campaign_warm_detailed, summarize_by_category, CampaignError,
-    CampaignResult, ExperimentGrader, FaultGrader, WarmExperimentGrader,
+    run_campaign_collapsed, run_campaign_detailed, run_campaign_graded,
+    run_campaign_warm_detailed, summarize_by_category, CampaignError, CampaignResult,
+    FaultGrader,
 };
-pub use ppsfp::{
-    run_campaign_ppsfp, run_campaign_ppsfp_detailed, run_campaign_ppsfp_telemetry, PpsfpStats,
-};
-pub use telemetry::{
-    run_campaign_graded_telemetry, run_campaign_telemetry, run_campaign_warm_telemetry,
-};
+pub use ppsfp::{run_campaign_ppsfp_detailed, PpsfpStats};
 
 use sbst_cpu::CoreKind;
 use sbst_fault::Unit;

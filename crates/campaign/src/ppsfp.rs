@@ -67,7 +67,7 @@ use sbst_soc::{RunOutcome, Soc};
 use sbst_stl::{RESULT_SIG_OFF, RESULT_STATUS_OFF, STATUS_DONE};
 
 use crate::experiment::{Experiment, Observation, Snapshot};
-use crate::faultsim::{grade_pending, CampaignResult, FaultGrader};
+use crate::faultsim::{finish, grade_pending, CampaignResult, FaultGrader};
 
 /// Bus master port of the core under test's data side (its
 /// instruction-fetch side is port 0; foreign cores are ports 2+).
@@ -789,16 +789,6 @@ impl FaultGrader for PpsfpFallbackGrader<'_> {
 // Campaign entry points
 // ---------------------------------------------------------------------
 
-/// [`run_campaign_ppsfp_detailed`] without the per-fault records.
-pub fn run_campaign_ppsfp(
-    experiment: &Experiment,
-    golden: &Observation,
-    faults: &FaultList,
-    threads: usize,
-) -> CampaignResult {
-    run_campaign_ppsfp_detailed(experiment, golden, faults, threads).0
-}
-
 /// The bit-parallel campaign: packs the list into [`FaultWord`]s, rides
 /// forwarding words on one tapped golden tail, and grades everything
 /// else (fallen-off lanes, HDCU/ICU words) through the serial warm path
@@ -871,38 +861,6 @@ pub fn run_campaign_ppsfp_detailed(
     grade_pending(&grader, sites, &slots, &errors, threads, &|_| {});
     stats.loop_short_circuits = loop_hits.load(Ordering::Relaxed);
 
-    let records: Vec<(FaultSite, Verdict)> = sites
-        .iter()
-        .zip(slots.into_inner().expect("verdict slots"))
-        .map(|(&s, v)| (s, v.expect("every fault graded")))
-        .collect();
-    (CampaignResult::from_records(&records), records, stats)
-}
-
-/// [`run_campaign_ppsfp_detailed`] plus wall-clock telemetry in the
-/// observability layer's type.
-pub fn run_campaign_ppsfp_telemetry(
-    experiment: &Experiment,
-    golden: &Observation,
-    faults: &FaultList,
-    threads: usize,
-) -> (CampaignResult, Vec<(FaultSite, Verdict)>, sbst_obs::PpsfpTelemetry) {
-    let start = std::time::Instant::now();
-    let (result, records, stats) =
-        run_campaign_ppsfp_detailed(experiment, golden, faults, threads);
-    let elapsed = start.elapsed().as_secs_f64();
-    let telemetry = sbst_obs::PpsfpTelemetry {
-        total: result.total as u64,
-        words: stats.words as u64,
-        ridden_words: stats.ridden_words as u64,
-        packed_faults: stats.packed_faults as u64,
-        pack_density: stats.pack_density,
-        fallback_faults: stats.fallback_faults as u64,
-        fallback_rate: stats.fallback_rate,
-        loop_short_circuits: stats.loop_short_circuits as u64,
-        elapsed_secs: elapsed,
-        faults_per_sec: if elapsed > 0.0 { result.total as f64 / elapsed } else { 0.0 },
-        mix: result.mix(),
-    };
-    (result, records, telemetry)
+    let (result, records) = finish(sites, slots);
+    (result, records, stats)
 }

@@ -1,7 +1,7 @@
 //! Campaign-level integration tests: the fault-simulation engine and the
 //! table shapes at miniature effort.
 
-use sbst_campaign::{routines_for, run_campaign, ExecStyle, Experiment};
+use sbst_campaign::{routines_for, run_campaign_detailed, ExecStyle, Experiment};
 use sbst_cpu::{unit_fault_list, CoreKind};
 use sbst_fault::{Element, FaultPlane, FaultSite, Polarity, Unit, Verdict};
 use sbst_soc::Scenario;
@@ -81,8 +81,8 @@ fn campaign_aggregates_and_parallelism_matches_serial() {
     let exp = cached_exp(CoreKind::A, Unit::Icu);
     let golden = exp.golden();
     let faults = unit_fault_list(CoreKind::A, Unit::Icu).sample(12);
-    let serial = run_campaign(&exp, &golden, &faults, 1);
-    let parallel = run_campaign(&exp, &golden, &faults, 4);
+    let serial = run_campaign_detailed(&exp, &golden, &faults, 1).0;
+    let parallel = run_campaign_detailed(&exp, &golden, &faults, 4).0;
     assert_eq!(serial, parallel, "verdicts are order-independent");
     assert_eq!(serial.total, faults.len());
     assert!(serial.detected() > 0, "{serial}");
@@ -103,10 +103,10 @@ fn cached_coverage_beats_single_core_uncached() {
     )
     .expect("single");
     let golden = single.golden();
-    let fc_single = run_campaign(&single, &golden, &faults, 0).coverage();
+    let fc_single = run_campaign_detailed(&single, &golden, &faults, 0).0.coverage();
     let multi = cached_exp(kind, Unit::Hdcu);
     let golden = multi.golden();
-    let fc_multi = run_campaign(&multi, &golden, &faults, 0).coverage();
+    let fc_multi = run_campaign_detailed(&multi, &golden, &faults, 0).0.coverage();
     assert!(
         fc_multi > fc_single,
         "cache-wrapped multi-core FC ({fc_multi:.1}) must exceed \
@@ -130,7 +130,7 @@ fn uncached_coverage_varies_with_the_scenario() {
         let exp = Experiment::assemble(&*factory, kind, ExecStyle::LegacyUncached, &scenario)
             .expect("uncached");
         let golden = exp.golden();
-        coverages.push(run_campaign(&exp, &golden, &faults, 0).coverage());
+        coverages.push(run_campaign_detailed(&exp, &golden, &faults, 0).0.coverage());
     }
     let min = coverages.iter().cloned().fold(f64::MAX, f64::min);
     let max = coverages.iter().cloned().fold(f64::MIN, f64::max);
@@ -271,20 +271,16 @@ fn every_major_fault_category_is_detectable() {
 
 #[test]
 fn detailed_campaign_matches_the_aggregate() {
-    use sbst_campaign::run_campaign_detailed;
+    use sbst_campaign::CampaignResult;
     let exp = cached_exp(CoreKind::A, Unit::Icu);
     let golden = exp.golden();
     let faults = unit_fault_list(CoreKind::A, Unit::Icu).sample(10);
-    let aggregate = run_campaign(&exp, &golden, &faults, 0);
-    let (agg2, records) = run_campaign_detailed(&exp, &golden, &faults, 0);
-    assert_eq!(aggregate, agg2);
-    assert_eq!(records.len(), faults.len());
-    let detected = records.iter().filter(|(_, v)| v.is_detected()).count();
-    assert_eq!(detected, aggregate.detected());
+    let (result, records) = run_campaign_detailed(&exp, &golden, &faults, 0);
+    assert_eq!(result, CampaignResult::from_records(&records));
+    assert_eq!(result.total, faults.len());
     // Order matches the fault list.
-    for ((site, _), expected) in records.iter().zip(faults.iter()) {
-        assert_eq!(site, expected);
-    }
+    let sites: Vec<FaultSite> = records.iter().map(|&(site, _)| site).collect();
+    assert_eq!(sites, faults.sites());
 }
 
 #[test]
@@ -337,7 +333,7 @@ fn undersized_icache_splits_and_preserves_determinism_and_coverage() {
             let golden = exp.golden();
             sigs.push(golden.signature);
             if seed == 0 {
-                fc = run_campaign(&exp, &golden, &faults, 0).coverage();
+                fc = run_campaign_detailed(&exp, &golden, &faults, 0).0.coverage();
             }
         }
         assert_eq!(sigs[0], sigs[1], "deterministic at {size_bytes} B");
@@ -402,7 +398,7 @@ fn collapsed_campaign_matches_full_coverage() {
     let exp = cached_exp(CoreKind::A, Unit::Forwarding);
     let golden = exp.golden();
     let faults = unit_fault_list(CoreKind::A, Unit::Forwarding).sample(31);
-    let full = run_campaign(&exp, &golden, &faults, 0);
+    let full = run_campaign_detailed(&exp, &golden, &faults, 0).0;
     let collapsed = run_campaign_collapsed(&exp, &golden, &faults, 0);
     assert_eq!(collapsed.total, full.total);
     assert!(

@@ -15,6 +15,7 @@ use sbst_campaign::fleet::{
 };
 use sbst_campaign::{fingerprint, Checkpoint};
 use sbst_fault::{Element, FaultList, FaultSite, Polarity, Unit, Verdict};
+use sbst_obs::VerdictMix;
 
 /// A pure, instant grader: the verdict is a hash of (ECU index, fault
 /// site), so retried / stolen / resumed shards must reproduce it
@@ -57,8 +58,9 @@ fn plan() -> FleetPlan {
 
 /// Checks the invariants every fleet run must satisfy, chaos or not:
 /// full accounting (every shard Completed xor Quarantined, verdicts
-/// present exactly for completed shards) and bit-identity of every
-/// completed shard against the serial baseline.
+/// present exactly for completed shards), bit-identity of every
+/// completed shard against the serial baseline, and a telemetry
+/// verdict mix that counts exactly the merged verdicts.
 fn assert_invariants(
     report: &sbst_campaign::fleet::FleetReport,
     baseline: &[Vec<Verdict>],
@@ -96,6 +98,17 @@ fn assert_invariants(
         c.shards,
         "seed {seed}: every shard terminal"
     );
+    let merged: Vec<Verdict> = report.verdicts.iter().flatten().flatten().copied().collect();
+    let count = |v: Verdict| merged.iter().filter(|&&m| m == v).count() as u64;
+    let mix = VerdictMix {
+        wrong_signature: count(Verdict::WrongSignature),
+        test_fail: count(Verdict::TestFail),
+        unexpected_trap: count(Verdict::UnexpectedTrap),
+        hang: count(Verdict::Hang),
+        undetected: count(Verdict::Undetected),
+        sim_error: count(Verdict::SimError),
+    };
+    assert_eq!(report.telemetry.mix, mix, "seed {seed}: verdict mix of the merged shards");
 }
 
 /// The headline property, over 50 independent chaos storms.

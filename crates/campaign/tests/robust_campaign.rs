@@ -6,8 +6,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sbst_campaign::{
-    fingerprint, resume_campaign, resume_campaign_graded, run_campaign, run_campaign_graded,
-    routines_for, Checkpoint, CheckpointConfig, CheckpointError, ExecStyle, Experiment,
+    fingerprint, resume_campaign, resume_campaign_graded, routines_for, run_campaign_detailed,
+    run_campaign_graded, Checkpoint, CheckpointConfig, CheckpointError, ExecStyle, Experiment,
     FaultGrader,
 };
 use sbst_cpu::{unit_fault_list, CoreKind};
@@ -232,7 +232,7 @@ fn checkpoint_file_on_disk_tracks_progress() {
 }
 
 /// The production path: a real (sampled) experiment graded via
-/// `resume_campaign` in one go matches `run_campaign` exactly.
+/// `resume_campaign` in one go matches `run_campaign_detailed` exactly.
 #[test]
 fn resumed_experiment_campaign_matches_direct_run() {
     let factory = routines_for(Unit::Icu);
@@ -245,7 +245,7 @@ fn resumed_experiment_campaign_matches_direct_run() {
     .expect("experiment");
     let golden = exp.golden();
     let faults = unit_fault_list(CoreKind::A, Unit::Icu).sample(60);
-    let direct = run_campaign(&exp, &golden, &faults, 0);
+    let direct = run_campaign_detailed(&exp, &golden, &faults, 0).0;
 
     let path = scratch_path("experiment.ckpt.json");
     let _ = std::fs::remove_file(&path);

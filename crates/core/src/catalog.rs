@@ -301,8 +301,9 @@ impl BootImage {
     }
 
     /// [`run`](BootImage::run) with the observability layer attached:
-    /// returns the verdicts plus the run's [`MetricsHub`]. Verdicts and
-    /// cycle counts are bit-identical to an unobserved run.
+    /// returns the verdicts plus the run's
+    /// [`MetricsHub`](sbst_obs::MetricsHub). Verdicts and cycle counts
+    /// are bit-identical to an unobserved run.
     pub fn run_observed(
         &self,
         watchdog: u64,

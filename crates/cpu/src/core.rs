@@ -337,7 +337,7 @@ impl Core {
     /// equal bus states, evolve identically — *modulo* the deliberately
     /// excluded free-running state: the performance counters and the
     /// issue/raise sequence numbers, including the in-flight copy each
-    /// [`ExInEntry`] carries (all monotone; only their *difference* —
+    /// `ExInEntry` carries (all monotone; only their *difference* —
     /// the imprecision depth — is architecturally visible, and a
     /// difference is invariant across one loop period). The exclusions
     /// are sound only when the compared trajectory never reads a

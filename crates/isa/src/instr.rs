@@ -167,8 +167,8 @@ impl CacheOp {
 
 /// A decoded instruction.
 ///
-/// See the [module documentation](self) for the binary formats. All
-/// instructions are exactly 4 bytes long. Field meanings follow the
+/// Every instruction [`encode`](Instr::encode)s to one 32-bit word in
+/// an R-, I-, B- or J-type format. Field meanings follow the
 /// assembly notation in each variant's doc comment (`rd` destination,
 /// `rs1`/`rs2`/`src` sources, `base` address register, `off`/`imm`
 /// immediates).

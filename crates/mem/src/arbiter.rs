@@ -106,9 +106,10 @@ impl ArbiterKind {
 /// cycle where the bus is idle.
 ///
 /// Implementations must be deterministic functions of their own state,
-/// the pending mask and the cycle number — the analytical bounds in
-/// [`bounds`](crate::bounds) are statements about these policies, and
-/// the certification flow checks observed behaviour against them.
+/// the pending mask and the cycle number — the analytical bounds of
+/// [`BoundParams`](crate::BoundParams) are statements about these
+/// policies, and the certification flow checks observed behaviour
+/// against them.
 pub trait Arbiter: std::fmt::Debug + Send + Sync {
     /// Picks the port to grant this cycle, or `None` to leave the bus
     /// idle. `pending[p]` is whether port `p` has a request waiting;

@@ -39,5 +39,5 @@ pub use metrics::{
     MetricsHub, PortBound, PortMetrics,
 };
 pub use ring::EventRing;
-pub use telemetry::{CampaignTelemetry, FleetTelemetry, PpsfpTelemetry, ProgressSnapshot, VerdictMix};
+pub use telemetry::{FleetTelemetry, VerdictMix};
 pub use trace::{TraceEvent, TraceKind};

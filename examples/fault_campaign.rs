@@ -6,7 +6,7 @@
 //! cargo run --release --example fault_campaign
 //! ```
 
-use det_sbst::campaign::{routines_for, run_campaign, ExecStyle, Experiment};
+use det_sbst::campaign::{routines_for, run_campaign_detailed, ExecStyle, Experiment};
 use det_sbst::cpu::{unit_fault_list, CoreKind};
 use det_sbst::fault::Unit;
 use det_sbst::soc::Scenario;
@@ -28,7 +28,7 @@ fn main() {
         let exp = Experiment::assemble(&*factory, kind, ExecStyle::LegacyUncached, &scenario)
             .expect("experiment");
         let golden = exp.golden();
-        let res = run_campaign(&exp, &golden, &faults, 0);
+        let res = run_campaign_detailed(&exp, &golden, &faults, 0).0;
         println!("  config #{seed}: {res}");
         min = min.min(res.coverage());
         max = max.max(res.coverage());
@@ -40,7 +40,7 @@ fn main() {
     let exp = Experiment::assemble(&*factory, kind, ExecStyle::CacheWrapped, &scenario)
         .expect("experiment");
     let golden = exp.golden();
-    let res = run_campaign(&exp, &golden, &faults, 0);
+    let res = run_campaign_detailed(&exp, &golden, &faults, 0).0;
     println!("  {res}");
     println!(
         "\n=> deterministic {:.2}% — higher than the best uncached scenario ({max:.2}%)",

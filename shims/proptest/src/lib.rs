@@ -355,7 +355,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::{Range, RangeInclusive};
 
-    /// Lengths accepted by [`vec`]: an exact `usize` or a (possibly
+    /// Lengths accepted by [`vec()`]: an exact `usize` or a (possibly
     /// inclusive) `usize` range.
     pub trait IntoSizeRange {
         /// Draws a length.
@@ -383,7 +383,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S, L> {
         element: S,

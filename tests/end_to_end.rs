@@ -2,7 +2,7 @@
 //! full flow a downstream user follows, plus cross-crate properties that
 //! no single crate can check alone.
 
-use det_sbst::campaign::{routines_for, run_campaign, ExecStyle, Experiment};
+use det_sbst::campaign::{routines_for, run_campaign_detailed, ExecStyle, Experiment};
 use det_sbst::cpu::{delay_fault_list, unit_fault_list, CoreConfig, CoreKind};
 use det_sbst::fault::{FaultPlane, Unit, Verdict};
 use det_sbst::isa::{Asm, Reg};
@@ -77,7 +77,7 @@ fn delay_fault_extension_is_detected_only_with_back_to_back_execution() {
     )
     .expect("cached experiment");
     let golden = cached.golden();
-    let fc_cached = run_campaign(&cached, &golden, &faults, 0).coverage();
+    let fc_cached = run_campaign_detailed(&cached, &golden, &faults, 0).0.coverage();
     let uncached = Experiment::assemble(
         &*factory,
         kind,
@@ -86,7 +86,7 @@ fn delay_fault_extension_is_detected_only_with_back_to_back_execution() {
     )
     .expect("uncached experiment");
     let golden = uncached.golden();
-    let fc_uncached = run_campaign(&uncached, &golden, &faults, 0).coverage();
+    let fc_uncached = run_campaign_detailed(&uncached, &golden, &faults, 0).0.coverage();
     assert!(
         fc_cached > fc_uncached,
         "delay-fault coverage needs timed back-to-back excitation: \
