@@ -22,6 +22,7 @@
 
 use std::time::Instant;
 
+use sbst_bench::update_bench_campaign;
 use sbst_campaign::tables::Effort;
 use sbst_campaign::{
     routines_for, run_campaign_detailed, run_campaign_ppsfp_detailed,
@@ -29,7 +30,7 @@ use sbst_campaign::{
 };
 use sbst_cpu::{unit_fault_list, CoreKind};
 use sbst_fault::{collapse, Unit};
-use sbst_obs::{parse_json, Json};
+use sbst_obs::Json;
 use sbst_soc::Scenario;
 
 /// The warm-path standard-tier throughput recorded in
@@ -175,17 +176,14 @@ fn main() {
     // chaos_sweep, fleet_campaign and certify own the `chaos`, `fleet`
     // and `certify` sections of the same file: carry exactly those
     // over, so a key this bench stops writing does not linger.
-    let old = std::fs::read_to_string("BENCH_campaign.json").ok();
-    if let Some(old) = old.and_then(|t| parse_json(&t).ok()) {
+    update_bench_campaign(|old| {
         for key in ["chaos", "fleet", "certify"] {
             if let Some(section) = old.get(key) {
                 doc.set(key, section.clone());
             }
         }
-    }
-    std::fs::write("BENCH_campaign.json", doc.render_pretty(2))
-        .expect("write BENCH_campaign.json");
-    println!("wrote BENCH_campaign.json");
+        *old = doc;
+    });
 
     if mode == "standard" || mode == "full" {
         assert!(

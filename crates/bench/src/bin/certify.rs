@@ -26,9 +26,10 @@
 //! report at `out/certify_report.json`, and telemetry totals merged
 //! into `BENCH_campaign.json` under `"certify"`.
 
+use sbst_bench::update_bench_campaign;
 use sbst_cpu::{CoreConfig, CoreKind};
 use sbst_mem::{ArbiterKind, InjectorProgram};
-use sbst_obs::{parse_json, Json, PortBound};
+use sbst_obs::{Json, PortBound};
 use sbst_soc::{ChaosConfig, ObsConfig, SocBuilder};
 use sbst_stl::routines::{ForwardingTest, IcuTest, RegFileTest};
 use sbst_stl::{
@@ -283,25 +284,14 @@ fn main() {
         .expect("write out/certify_report.json");
     println!("wrote out/certify_report.json ({} scenarios)", results.len());
 
-    // Merge totals into BENCH_campaign.json, preserving other keys.
-    let mut doc = std::fs::read_to_string("BENCH_campaign.json")
-        .ok()
-        .and_then(|text| parse_json(&text).ok())
-        .filter(|d| matches!(d, Json::Obj(_)))
-        .unwrap_or(Json::Obj(Vec::new()));
-    doc.set(
-        "certify",
-        Json::Obj(vec![
-            ("scenarios".into(), Json::int(results.len() as u64)),
-            ("violations".into(), Json::int(violations as u64)),
-            ("signature_mismatches".into(), Json::int(mismatches as u64)),
-            ("fixed_priority_flagged".into(), Json::Bool(fp_flagged)),
-            ("seed".into(), Json::int(seed)),
-        ]),
-    );
-    std::fs::write("BENCH_campaign.json", doc.render_pretty(2))
-        .expect("write BENCH_campaign.json");
-    println!("merged certify telemetry into BENCH_campaign.json");
+    let certify = Json::Obj(vec![
+        ("scenarios".into(), Json::int(results.len() as u64)),
+        ("violations".into(), Json::int(violations as u64)),
+        ("signature_mismatches".into(), Json::int(mismatches as u64)),
+        ("fixed_priority_flagged".into(), Json::Bool(fp_flagged)),
+        ("seed".into(), Json::int(seed)),
+    ]);
+    update_bench_campaign(|doc| doc.set("certify", certify));
 
     assert!(fp_flagged, "fixed-priority low-priority ports must be flagged unbounded");
     assert_eq!(violations, 0, "observed grant wait exceeded a certified bound");

@@ -9,8 +9,9 @@
 //! are merged into `BENCH_campaign.json` under the `"chaos"` key (the
 //! rest of the file — `bench_campaign`'s output — is preserved).
 
+use sbst_bench::update_bench_campaign;
 use sbst_campaign::{run_chaos_campaign, ChaosSweepConfig};
-use sbst_obs::{parse_json, Json};
+use sbst_obs::Json;
 
 fn main() {
     let mode = std::env::args().nth(1).unwrap_or_else(|| "standard".into());
@@ -37,19 +38,8 @@ fn main() {
         report.recovered_total()
     );
 
-    // Merge the sweep totals into BENCH_campaign.json without
-    // disturbing bench_campaign's fields; start a fresh object when the
-    // file is absent or unparsable.
-    let mut doc = std::fs::read_to_string("BENCH_campaign.json")
-        .ok()
-        .and_then(|text| parse_json(&text).ok())
-        .filter(|d| matches!(d, Json::Obj(_)))
-        .unwrap_or(Json::Obj(Vec::new()));
     let mut chaos = report.telemetry().to_json();
     chaos.set("mode", Json::Str(mode.clone()));
     chaos.set("seed", Json::int(seed));
-    doc.set("chaos", chaos);
-    std::fs::write("BENCH_campaign.json", doc.render_pretty(2))
-        .expect("write BENCH_campaign.json");
-    println!("merged chaos telemetry into BENCH_campaign.json");
+    update_bench_campaign(|doc| doc.set("chaos", chaos));
 }

@@ -11,8 +11,9 @@
 //!   uninterrupted serial run;
 //! * the chaos plane actually fired (forced panics + one forced hang).
 //!
-//! Artifacts: `out/fleet_dashboard.jsonl` (one JSON object per lease
-//! event, then one telemetry line) and a `fleet` key merged into
+//! Artifacts: `out/fleet_dashboard.jsonl` (one `MetricsHub::to_jsonl`
+//! line per lease event — keys `cycle`, `core`, `kind`, `args` — then
+//! one telemetry line) and a `fleet` key merged into
 //! `BENCH_campaign.json` with throughput and recovery statistics.
 //!
 //! Modes (first CLI argument): `smoke` (CI), `quick`, `standard`
@@ -29,6 +30,7 @@ use std::path::Path;
 use std::process::Command;
 use std::time::{Duration, Instant};
 
+use sbst_bench::update_bench_campaign;
 use sbst_campaign::fleet::{
     assemble_ecu, execute_shard_standalone, run_fleet, run_fleet_process, run_fleet_serial,
     ChaosAction, EcuSpec, FleetConfig, FleetGrader, FleetPlan, FleetReport, ForcedFailure,
@@ -36,7 +38,7 @@ use sbst_campaign::fleet::{
 };
 use sbst_cpu::unit_fault_list;
 use sbst_fault::{FaultList, FaultSite, Unit, Verdict};
-use sbst_obs::{Json, MetricsHub, VerdictMix};
+use sbst_obs::{FleetTelemetry, Json, MetricsHub, VerdictMix};
 
 /// The deterministic work inventory for a mode — parent and `--worker`
 /// children rebuild the identical plan from this one function, so no
@@ -117,7 +119,7 @@ fn run_worker(args: &[String]) {
         cell: assemble_ecu(&plan.ecus[shard.ecu]).expect("assemble ECU"),
     };
     let result = execute_shard_standalone(&plan, &shard, attempt, &cfg, &grader);
-    std::fs::write(out, result.to_json()).expect("write shard result");
+    std::fs::write(out, result.to_json().render()).expect("write shard result");
 }
 
 /// Zero-silent-losses, bit-identity and verdict-mix checks shared by
@@ -151,37 +153,15 @@ fn assert_report(report: &FleetReport, baseline: &[Vec<Verdict>], label: &str) {
     assert_eq!(report.telemetry.mix, mix, "{label}: verdict mix of the merged shards");
 }
 
-fn write_dashboard(report: &FleetReport, path: &str) {
-    if let Some(dir) = std::path::Path::new(path).parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir).expect("create dashboard dir");
-    }
-    let mut out = String::new();
-    for e in &report.events {
-        out.push_str(&format!(
-            "{{\"t_ms\":{},\"worker\":{},\"event\":\"{}\",\"args\":{}}}\n",
-            e.cycle,
-            e.core.map_or("null".into(), |c| c.to_string()),
-            e.kind.name(),
-            e.args_json(),
-        ));
-    }
-    out.push_str(&report.telemetry.to_json().render());
-    out.push('\n');
-    std::fs::write(path, out).expect("write fleet dashboard");
-    println!("wrote {path} ({} events)", report.events.len());
-}
-
-fn merge_bench_json(fleet: Json) {
-    let path = "BENCH_campaign.json";
-    let mut doc = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|t| sbst_obs::parse_json(&t).ok())
-        .unwrap_or_else(|| {
-            Json::Obj(vec![("bench".into(), Json::Str("campaign_throughput".into()))])
-        });
-    doc.set("fleet", fleet);
-    std::fs::write(path, doc.render_pretty(2)).expect("write BENCH_campaign.json");
-    println!("merged fleet stats into {path}");
+/// Writes `out/fleet_dashboard.jsonl`: the `to_jsonl` lines of `hub`
+/// (`cycle` holds milliseconds since the run started, `core` the worker
+/// id), then one telemetry line.
+fn write_dashboard(hub: &MetricsHub, telemetry: &FleetTelemetry) {
+    let path = "out/fleet_dashboard.jsonl";
+    std::fs::create_dir_all("out").expect("create out/");
+    std::fs::write(path, hub.to_jsonl() + &telemetry.to_json().render() + "\n")
+        .expect("write fleet dashboard");
+    println!("wrote {path} ({} events)", hub.events.len());
 }
 
 fn round2(v: f64) -> f64 {
@@ -262,7 +242,7 @@ fn main() {
     };
     print!("{}", hub.summary_table());
 
-    write_dashboard(&report, "out/fleet_dashboard.jsonl");
+    write_dashboard(&hub, t);
 
     // ── Phase 2: a calm timed fleet run for the throughput figure.
     let calm_cfg = FleetConfig {
@@ -333,7 +313,7 @@ fn main() {
     assert!(pt.counters.retries >= 2, "dead/corrupt children must be retried");
     println!("processes: {pt}");
 
-    merge_bench_json(Json::Obj(vec![
+    let fleet = Json::Obj(vec![
         ("mode".into(), Json::Str(mode.clone())),
         ("ecus".into(), Json::int(plan.ecus.len() as u64)),
         ("faults".into(), Json::int(plan.total_faults() as u64)),
@@ -344,7 +324,8 @@ fn main() {
         ("faults_per_sec".into(), Json::Num(round2(calm.telemetry.faults_per_sec))),
         ("chaos".into(), t.to_json()),
         ("process_pool".into(), pt.to_json()),
-    ]));
+    ]);
+    update_bench_campaign(|doc| doc.set("fleet", fleet));
     println!("fleet_campaign [{mode}]: OK");
 }
 

@@ -36,14 +36,23 @@ fn smoke_mode_terminates_cleanly_with_valid_artifacts() {
     let stdout = run("smoke", &dir);
     assert!(stdout.contains("fleet_campaign [smoke]: OK"), "missing OK marker:\n{stdout}");
 
-    // Every dashboard line is a standalone JSON object (JSONL), and the
+    // Every dashboard line is a standalone JSON object (JSONL): the
+    // event lines carry exactly the `MetricsHub::to_jsonl` keys, and the
     // last line is the telemetry summary with the recovery counters.
     let dashboard =
         std::fs::read_to_string(dir.join("out/fleet_dashboard.jsonl")).expect("dashboard written");
     let lines: Vec<&str> = dashboard.lines().collect();
     assert!(lines.len() > 5, "dashboard suspiciously short: {} lines", lines.len());
     for (i, line) in lines.iter().enumerate() {
-        parse_json(line).unwrap_or_else(|e| panic!("dashboard line {i} invalid ({e:?}): {line}"));
+        let event = parse_json(line)
+            .unwrap_or_else(|e| panic!("dashboard line {i} invalid ({e:?}): {line}"));
+        let Json::Obj(fields) = event else {
+            panic!("dashboard line {i} is not an object: {line}")
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        if i + 1 < lines.len() {
+            assert_eq!(keys, ["cycle", "core", "kind", "args"], "event line {i}: {line}");
+        }
     }
     let telemetry = parse_json(lines[lines.len() - 1]).expect("telemetry line");
     let shards = telemetry.get("shards").and_then(Json::as_f64).expect("shards field");

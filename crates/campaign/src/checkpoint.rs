@@ -17,22 +17,22 @@
 //! ECU variant is rejected with [`CheckpointError::ConfigMismatch`]
 //! instead of silently grading the wrong population.
 //!
-//! The on-disk format is deliberately tiny and hand-rolled (the build
-//! is hermetic — no serde):
+//! [`Checkpoint::to_json`] and [`Checkpoint::from_json`] map a
+//! checkpoint to and from a [`Json`] value; the workspace's one codec,
+//! `sbst_obs::json`, renders and parses the file, keeping both 64-bit
+//! fingerprints exact:
 //!
 //! ```json
-//! {
-//!   "version": 2,
-//!   "fingerprint": 1234567890123,
-//!   "config": 9876543210,
-//!   "verdicts": ["hang", null, "undetected", ...]
-//! }
+//! {"version":2,"fingerprint":1234567890123,"config":9876543210,"verdicts":["hang",null]}
 //! ```
 //!
 //! `verdicts[i]` is `null` while fault `i` is still ungraded, else the
-//! stable tag of [`Verdict`] (see [`Verdict::tag`]). Writes go through
-//! a temp file + rename so a crash mid-write never corrupts the last
-//! good checkpoint.
+//! stable tag of [`Verdict`] (see [`Verdict::tag`]). Version 1 files
+//! (no `config`) still load, as unbound; any other version, a missing
+//! or unknown key, an unknown tag or a number that is not an unsigned
+//! integer is [`CheckpointError::Malformed`]. Writes go through a temp
+//! file + rename so a crash mid-write never corrupts the last good
+//! checkpoint.
 
 use std::fs;
 use std::io;
@@ -40,6 +40,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use sbst_fault::{FaultList, FaultSite, Verdict};
+use sbst_obs::{parse_json, Json};
 
 use crate::experiment::ExperimentConfig;
 use crate::faultsim::{
@@ -182,71 +183,38 @@ impl Checkpoint {
         self.verdicts.iter().all(|v| v.is_some())
     }
 
-    /// Serializes to the checkpoint JSON format.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(32 + 16 * self.verdicts.len());
-        out.push_str("{\n");
-        out.push_str(&format!("  \"version\": {CHECKPOINT_VERSION},\n"));
-        out.push_str(&format!("  \"fingerprint\": {},\n", self.fingerprint));
-        out.push_str(&format!("  \"config\": {},\n", self.config));
-        out.push_str("  \"verdicts\": [");
-        for (i, v) in self.verdicts.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            match v {
-                Some(v) => {
-                    out.push('"');
-                    out.push_str(v.tag());
-                    out.push('"');
-                }
-                None => out.push_str("null"),
-            }
-        }
-        out.push_str("]\n}\n");
-        out
+    /// The checkpoint as a JSON value (schema in the module doc).
+    pub fn to_json(&self) -> Json {
+        let tag = |v: &Option<Verdict>| v.map_or(Json::Null, |v| Json::Str(v.tag().into()));
+        Json::Obj(vec![
+            ("version".into(), Json::int(CHECKPOINT_VERSION.into())),
+            ("fingerprint".into(), Json::int(self.fingerprint)),
+            ("config".into(), Json::int(self.config)),
+            ("verdicts".into(), Json::Arr(self.verdicts.iter().map(tag).collect())),
+        ])
     }
 
-    /// Parses the checkpoint JSON format.
+    /// Reads a checkpoint from its JSON value. Version 1, which
+    /// predates config binding, reads as [`CONFIG_UNBOUND`].
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError::Malformed`] with a description of the
-    /// first offending construct.
-    pub fn from_json(text: &str) -> Result<Checkpoint, CheckpointError> {
-        let mut p = Parser { rest: text };
-        p.expect('{')?;
-        let mut version = None;
-        let mut fp = None;
-        let mut config = None;
-        let mut verdicts = None;
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            match key.as_str() {
-                "version" => version = Some(p.integer()?),
-                "fingerprint" => fp = Some(p.integer()?),
-                "config" => config = Some(p.integer()?),
-                "verdicts" => verdicts = Some(p.verdict_array()?),
-                other => {
-                    return Err(CheckpointError::Malformed(format!("unknown key {other:?}")))
-                }
-            }
-            if !p.comma_or('}')? {
-                break;
-            }
-        }
-        let version = version.ok_or_else(|| malformed("missing version"))?;
-        match version {
-            // Version 1 predates config binding; treat it as unbound.
+    /// Returns [`CheckpointError::Malformed`] naming the first
+    /// offending field.
+    pub fn from_json(doc: &Json) -> Result<Checkpoint, CheckpointError> {
+        expect_keys(doc, &["version", "fingerprint", "config", "verdicts"])?;
+        match integer(doc, "version")? {
             1 => {}
-            v if v == CHECKPOINT_VERSION as u64 => {}
+            v if v == u64::from(CHECKPOINT_VERSION) => {}
             v => return Err(malformed(&format!("unsupported version {v}"))),
         }
         Ok(Checkpoint {
-            fingerprint: fp.ok_or_else(|| malformed("missing fingerprint"))?,
-            config: config.unwrap_or(CONFIG_UNBOUND),
-            verdicts: verdicts.ok_or_else(|| malformed("missing verdicts"))?,
+            fingerprint: integer(doc, "fingerprint")?,
+            config: match doc.get("config") {
+                Some(_) => integer(doc, "config")?,
+                None => CONFIG_UNBOUND,
+            },
+            verdicts: verdict_slots(doc)?,
         })
     }
 
@@ -263,7 +231,7 @@ impl Checkpoint {
         let tmp = tmp_path(path);
         {
             let mut f = fs::File::create(&tmp)?;
-            io::Write::write_all(&mut f, self.to_json().as_bytes())?;
+            io::Write::write_all(&mut f, (self.to_json().render() + "\n").as_bytes())?;
             f.sync_all()?;
         }
         fs::rename(&tmp, path)?;
@@ -284,7 +252,7 @@ impl Checkpoint {
     ///
     /// Propagates filesystem errors and format violations.
     pub fn load(path: &Path) -> Result<Checkpoint, CheckpointError> {
-        Checkpoint::from_json(&fs::read_to_string(path)?)
+        Checkpoint::from_json(&parse(&fs::read_to_string(path)?)?)
     }
 }
 
@@ -298,99 +266,51 @@ fn tmp_path(path: &Path) -> PathBuf {
     PathBuf::from(tmp)
 }
 
-/// A minimal parser for exactly the checkpoint schema (also reused by
-/// the fleet's shard-result files, which share its vocabulary).
-pub(crate) struct Parser<'a> {
-    pub(crate) rest: &'a str,
+// Decoding helpers shared with the fleet's shard-result files, which
+// use the same vocabulary.
+
+/// Parses a checkpoint or shard-result file; a torn or truncated file
+/// is [`CheckpointError::Malformed`].
+pub(crate) fn parse(text: &str) -> Result<Json, CheckpointError> {
+    parse_json(text).map_err(|e| malformed(&e.to_string()))
 }
 
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        self.rest = self.rest.trim_start();
-    }
-
-    pub(crate) fn expect(&mut self, c: char) -> Result<(), CheckpointError> {
-        self.skip_ws();
-        match self.rest.strip_prefix(c) {
-            Some(r) => {
-                self.rest = r;
-                Ok(())
-            }
-            None => Err(malformed(&format!(
-                "expected {c:?} at {:?}",
-                &self.rest[..self.rest.len().min(20)]
-            ))),
+/// Checks that `doc` is an object whose keys are distinct and all
+/// `known`.
+pub(crate) fn expect_keys(doc: &Json, known: &[&str]) -> Result<(), CheckpointError> {
+    let Json::Obj(fields) = doc else { return Err(malformed("expected an object")) };
+    for (i, (key, _)) in fields.iter().enumerate() {
+        if !known.contains(&key.as_str()) {
+            return Err(malformed(&format!("unknown key {key:?}")));
+        }
+        if fields[..i].iter().any(|(k, _)| k == key) {
+            return Err(malformed(&format!("duplicate key {key:?}")));
         }
     }
+    Ok(())
+}
 
-    /// `"..."` (no escapes — verdict tags and keys never need them).
-    pub(crate) fn string(&mut self) -> Result<String, CheckpointError> {
-        self.expect('"')?;
-        let end = self
-            .rest
-            .find('"')
-            .ok_or_else(|| malformed("unterminated string"))?;
-        let s = self.rest[..end].to_string();
-        self.rest = &self.rest[end + 1..];
-        Ok(s)
-    }
+/// The unsigned integer field `key` of `doc`.
+pub(crate) fn integer(doc: &Json, key: &str) -> Result<u64, CheckpointError> {
+    let value = doc.get(key).ok_or_else(|| malformed(&format!("missing {key}")))?;
+    value.as_u64().ok_or_else(|| malformed(&format!("{key} is not an unsigned integer")))
+}
 
-    pub(crate) fn integer(&mut self) -> Result<u64, CheckpointError> {
-        self.skip_ws();
-        let end = self
-            .rest
-            .find(|c: char| !c.is_ascii_digit())
-            .unwrap_or(self.rest.len());
-        if end == 0 {
-            return Err(malformed("expected integer"));
-        }
-        let n = self.rest[..end]
-            .parse()
-            .map_err(|_| malformed("integer out of range"))?;
-        self.rest = &self.rest[end..];
-        Ok(n)
-    }
-
-    /// `, ` → `true` (more elements), or the closing char → `false`.
-    pub(crate) fn comma_or(&mut self, close: char) -> Result<bool, CheckpointError> {
-        self.skip_ws();
-        if let Some(r) = self.rest.strip_prefix(',') {
-            self.rest = r;
-            self.skip_ws();
-            Ok(true)
-        } else if let Some(r) = self.rest.strip_prefix(close) {
-            self.rest = r;
-            Ok(false)
-        } else {
-            Err(malformed(&format!("expected ',' or {close:?}")))
-        }
-    }
-
-    pub(crate) fn verdict_array(&mut self) -> Result<Vec<Option<Verdict>>, CheckpointError> {
-        self.expect('[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if let Some(r) = self.rest.strip_prefix(']') {
-            self.rest = r;
-            return Ok(out);
-        }
-        loop {
-            self.skip_ws();
-            if let Some(r) = self.rest.strip_prefix("null") {
-                self.rest = r;
-                out.push(None);
-            } else {
-                let tag = self.string()?;
-                let v = Verdict::from_tag(&tag)
-                    .ok_or_else(|| malformed(&format!("unknown verdict tag {tag:?}")))?;
-                out.push(Some(v));
-            }
-            if !self.comma_or(']')? {
-                break;
-            }
-        }
-        Ok(out)
-    }
+/// The `verdicts` array of `doc`: `null` for an ungraded slot, else a
+/// verdict tag.
+pub(crate) fn verdict_slots(doc: &Json) -> Result<Vec<Option<Verdict>>, CheckpointError> {
+    let slots = doc.get("verdicts").ok_or_else(|| malformed("missing verdicts"))?;
+    let slots = slots.as_arr().ok_or_else(|| malformed("verdicts is not an array"))?;
+    slots
+        .iter()
+        .map(|slot| match slot {
+            Json::Null => Ok(None),
+            Json::Str(tag) => Verdict::from_tag(tag)
+                .map(Some)
+                .ok_or_else(|| malformed(&format!("unknown verdict tag {tag:?}"))),
+            _ => Err(malformed("verdict is neither null nor a tag")),
+        })
+        .collect()
 }
 
 /// How a resumable campaign checkpoints itself.
@@ -601,15 +521,44 @@ mod tests {
         cp.verdicts[0] = Some(Verdict::Hang);
         cp.verdicts[3] = Some(Verdict::Undetected);
         cp.verdicts[6] = Some(Verdict::SimError);
-        let back = Checkpoint::from_json(&cp.to_json()).expect("parses");
+        let back = decode(&cp.to_json().render()).expect("parses");
         assert_eq!(cp, back);
         assert_eq!(back.config, 0xdead_beef);
+    }
+
+    fn decode(text: &str) -> Result<Checkpoint, CheckpointError> {
+        Checkpoint::from_json(&parse(text)?)
+    }
+
+    /// A file written by the hand-built renderer this codec replaced:
+    /// both fingerprints are above 2^53, where an `f64` would round.
+    #[test]
+    fn version_2_files_of_the_previous_renderer_load_unchanged() {
+        let text = "{\n  \"version\": 2,\n  \"fingerprint\": 14695981039346656037,\n  \
+                    \"config\": 16045690984503098381,\n  \"verdicts\": [null, \"wrong-signature\", \
+                    \"test-fail\", \"unexpected-trap\", \"hang\", \"undetected\", \"sim-error\", null]\n}\n";
+        let expected = Checkpoint {
+            fingerprint: 14_695_981_039_346_656_037,
+            config: 16_045_690_984_503_098_381,
+            verdicts: vec![
+                None,
+                Some(Verdict::WrongSignature),
+                Some(Verdict::TestFail),
+                Some(Verdict::UnexpectedTrap),
+                Some(Verdict::Hang),
+                Some(Verdict::Undetected),
+                Some(Verdict::SimError),
+                None,
+            ],
+        };
+        assert_eq!(decode(text).expect("loads"), expected);
+        assert_eq!(decode(&expected.to_json().render()).expect("round trips"), expected);
     }
 
     #[test]
     fn version_1_checkpoints_parse_as_config_unbound() {
         let text = "{\"version\": 1, \"fingerprint\": 42, \"verdicts\": [\"hang\", null]}";
-        let cp = Checkpoint::from_json(text).expect("v1 parses");
+        let cp = decode(text).expect("v1 parses");
         assert_eq!(cp.config, CONFIG_UNBOUND);
         assert_eq!(cp.fingerprint, 42);
         assert_eq!(cp.verdicts, vec![Some(Verdict::Hang), None]);
@@ -618,7 +567,7 @@ mod tests {
     #[test]
     fn empty_list_round_trips() {
         let cp = Checkpoint::new(&FaultList::new());
-        let back = Checkpoint::from_json(&cp.to_json()).expect("parses");
+        let back = decode(&cp.to_json().render()).expect("parses");
         assert_eq!(cp, back);
         assert!(back.is_complete());
     }
@@ -661,8 +610,18 @@ mod tests {
             "{\"version\": 2}",
             "{\"version\": 99, \"fingerprint\": 1, \"verdicts\": []}",
             "{\"version\": 2, \"fingerprint\": 1, \"verdicts\": [\"bogus\"]}",
+            "{\"version\": 2, \"fingerprint\": 1, \"verdicts\": [], \"extra\": 0}",
+            "{\"version\": 2, \"fingerprint\": 1.5, \"verdicts\": []}",
+            "{\"version\": 2, \"fingerprint\": -1, \"verdicts\": []}",
+            "{\"version\": 2, \"fingerprint\": 1e3, \"verdicts\": []}",
+            "{\"version\": 2, \"fingerprint\": 18446744073709551616, \"verdicts\": []}",
+            "{\"version\": 2, \"fingerprint\": \"1\", \"verdicts\": []}",
+            "{\"version\": 2, \"fingerprint\": 1, \"config\": null, \"verdicts\": []}",
+            "{\"version\": 2, \"fingerprint\": 1, \"fingerprint\": 2, \"verdicts\": []}",
+            "{\"version\": 2, \"fingerprint\": 1, \"verdicts\": [1]}",
+            "[]",
         ] {
-            assert!(Checkpoint::from_json(bad).is_err(), "accepted {bad:?}");
+            assert!(decode(bad).is_err(), "accepted {bad:?}");
         }
     }
 
@@ -685,7 +644,8 @@ mod tests {
         // file holds a torn prefix, the rename never happened.
         let mut newer = good.clone();
         newer.verdicts[4] = Some(Verdict::Hang);
-        let torn = &newer.to_json()[..newer.to_json().len() / 2];
+        let text = newer.to_json().render();
+        let torn = &text[..text.len() / 2];
         fs::write(tmp_path(&path), torn).expect("write torn temp");
         assert_eq!(
             Checkpoint::load(&path).expect("last good checkpoint intact"),

@@ -101,16 +101,23 @@ pub struct ShardResult {
     /// Per-fault verdicts, in shard fault order.
     pub verdicts: Vec<Verdict>,
     /// FNV-1a over (shard, fault fingerprint, ECU fingerprint,
-    /// verdict tags).
+    /// restored count, verdict tags).
     pub checksum: u64,
 }
 
 impl ShardResult {
-    fn checksum_of(shard: usize, fault_fp: u64, ecu_fp: u64, verdicts: &[Verdict]) -> u64 {
+    fn checksum_of(
+        shard: usize,
+        fault_fp: u64,
+        ecu_fp: u64,
+        resumed: u32,
+        verdicts: &[Verdict],
+    ) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         fnv(&mut h, &(shard as u64).to_le_bytes());
         fnv(&mut h, &fault_fp.to_le_bytes());
         fnv(&mut h, &ecu_fp.to_le_bytes());
+        fnv(&mut h, &resumed.to_le_bytes());
         for v in verdicts {
             fnv(&mut h, v.tag().as_bytes());
         }
@@ -125,15 +132,17 @@ impl ShardResult {
         verdicts: Vec<Verdict>,
         resumed: u32,
     ) -> ShardResult {
-        let checksum = ShardResult::checksum_of(shard, fault_fp, ecu_fp, &verdicts);
+        let checksum = ShardResult::checksum_of(shard, fault_fp, ecu_fp, resumed, &verdicts);
         ShardResult { shard, resumed, verdicts, checksum }
     }
 
     /// Whether the seal matches this shard/fault-slice/ECU binding —
-    /// i.e. the verdicts were not corrupted (or misrouted) in transit.
+    /// i.e. neither the verdicts nor the restored count were corrupted
+    /// (or misrouted) in transit.
     pub fn is_valid(&self, shard: usize, fault_fp: u64, ecu_fp: u64) -> bool {
         self.shard == shard
-            && self.checksum == ShardResult::checksum_of(shard, fault_fp, ecu_fp, &self.verdicts)
+            && self.checksum
+                == ShardResult::checksum_of(shard, fault_fp, ecu_fp, self.resumed, &self.verdicts)
     }
 }
 

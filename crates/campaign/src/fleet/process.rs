@@ -19,9 +19,9 @@ use std::process::{Child, Command, Stdio};
 use std::sync::atomic::AtomicBool;
 
 use sbst_fault::Verdict;
-use sbst_obs::{FleetTelemetry, TraceKind};
+use sbst_obs::{FleetTelemetry, Json, TraceKind};
 
-use crate::checkpoint::{malformed, CheckpointError, Parser};
+use crate::checkpoint::{expect_keys, integer, malformed, parse, verdict_slots, CheckpointError};
 
 use super::chaos::ChaosAction;
 use super::lease::{FailureKind, Lease, LeaseTable};
@@ -32,70 +32,41 @@ use super::orchestrator::{
 use super::shard::{FleetPlan, Shard};
 
 impl ShardResult {
-    /// Serializes the result to the shard-result file format (one JSON
-    /// object, same vocabulary as the checkpoint format).
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(48 + 16 * self.verdicts.len());
-        out.push_str("{\n");
-        out.push_str(&format!("  \"shard\": {},\n", self.shard));
-        out.push_str(&format!("  \"resumed\": {},\n", self.resumed));
-        out.push_str(&format!("  \"checksum\": {},\n", self.checksum));
-        out.push_str("  \"verdicts\": [");
-        for (i, v) in self.verdicts.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push('"');
-            out.push_str(v.tag());
-            out.push('"');
-        }
-        out.push_str("]\n}\n");
-        out
+    /// The result as a JSON value: `shard`, `resumed`, `checksum` and
+    /// `verdicts` (tags, never `null`) — the file a process worker
+    /// hands its parent.
+    pub fn to_json(&self) -> Json {
+        let verdicts = self.verdicts.iter().map(|v| Json::Str(v.tag().into())).collect();
+        Json::Obj(vec![
+            ("shard".into(), Json::int(self.shard as u64)),
+            ("resumed".into(), Json::int(self.resumed.into())),
+            ("checksum".into(), Json::int(self.checksum)),
+            ("verdicts".into(), Json::Arr(verdicts)),
+        ])
     }
 
-    /// Parses the shard-result file format.
+    /// Reads a result from its JSON value. Decoding checks the shape
+    /// only; the seal ([`is_valid`](ShardResult::is_valid)) is the
+    /// parent's to check.
     ///
     /// # Errors
     ///
-    /// Returns [`CheckpointError::Malformed`] on any deviation — a torn
-    /// or truncated result file from a killed child must parse as
-    /// garbage, never as a half-result.
-    pub fn from_json(text: &str) -> Result<ShardResult, CheckpointError> {
-        let mut p = Parser { rest: text };
-        p.expect('{')?;
-        let mut shard = None;
-        let mut resumed = None;
-        let mut checksum = None;
-        let mut verdicts = None;
-        loop {
-            let key = p.string()?;
-            p.expect(':')?;
-            match key.as_str() {
-                "shard" => shard = Some(p.integer()? as usize),
-                "resumed" => resumed = Some(p.integer()? as u32),
-                "checksum" => checksum = Some(p.integer()?),
-                "verdicts" => {
-                    let slots = p.verdict_array()?;
-                    let mut out = Vec::with_capacity(slots.len());
-                    for v in slots {
-                        out.push(v.ok_or_else(|| malformed("null verdict in shard result"))?);
-                    }
-                    verdicts = Some(out);
-                }
-                other => {
-                    return Err(malformed(&format!("unknown key {other:?}")));
-                }
-            }
-            if !p.comma_or('}')? {
-                break;
-            }
-        }
-        Ok(ShardResult {
-            shard: shard.ok_or_else(|| malformed("missing shard"))?,
-            resumed: resumed.ok_or_else(|| malformed("missing resumed"))?,
-            checksum: checksum.ok_or_else(|| malformed("missing checksum"))?,
-            verdicts: verdicts.ok_or_else(|| malformed("missing verdicts"))?,
-        })
+    /// Returns [`CheckpointError::Malformed`] on a missing or unknown
+    /// key, a `null` or unknown verdict, a `shard` beyond `usize`, or a
+    /// `resumed` beyond `u32` or above the verdict count.
+    pub fn from_json(doc: &Json) -> Result<ShardResult, CheckpointError> {
+        expect_keys(doc, &["shard", "resumed", "checksum", "verdicts"])?;
+        let verdicts = verdict_slots(doc)?
+            .into_iter()
+            .map(|v| v.ok_or_else(|| malformed("null verdict in shard result")))
+            .collect::<Result<Vec<_>, _>>()?;
+        let shard = usize::try_from(integer(doc, "shard")?)
+            .map_err(|_| malformed("shard index out of range"))?;
+        let resumed = u32::try_from(integer(doc, "resumed")?)
+            .ok()
+            .filter(|&r| r as usize <= verdicts.len())
+            .ok_or_else(|| malformed("resumed exceeds the verdict count"))?;
+        Ok(ShardResult { shard, resumed, checksum: integer(doc, "checksum")?, verdicts })
     }
 }
 
@@ -106,7 +77,7 @@ impl ShardResult {
 ///
 /// Intended for the `--worker` mode of a fleet binary: rebuild the
 /// same deterministic [`FleetPlan`] from the CLI arguments, call this,
-/// write the result with [`ShardResult::to_json`], exit zero.
+/// write the rendered [`ShardResult::to_json`], exit zero.
 pub fn execute_shard_standalone(
     plan: &FleetPlan,
     shard: &Shard,
@@ -221,7 +192,7 @@ pub fn run_fleet_process(
                 .success()
                 .then(|| std::fs::read_to_string(&a.out).ok())
                 .flatten()
-                .and_then(|text| ShardResult::from_json(&text).ok());
+                .and_then(|text| ShardResult::from_json(&parse(&text).ok()?).ok());
             let _ = std::fs::remove_file(&a.out);
             match result {
                 Some(result) => {
@@ -285,6 +256,10 @@ pub fn run_fleet_process(
 mod tests {
     use super::*;
 
+    fn decode(text: &str) -> Result<ShardResult, CheckpointError> {
+        ShardResult::from_json(&parse(text)?)
+    }
+
     #[test]
     fn shard_result_json_round_trips_and_rejects_torn_files() {
         let r = ShardResult::seal(
@@ -294,8 +269,8 @@ mod tests {
             vec![Verdict::Hang, Verdict::Undetected, Verdict::WrongSignature],
             2,
         );
-        let text = r.to_json();
-        let back = ShardResult::from_json(&text).expect("parses");
+        let text = r.to_json().render();
+        let back = decode(&text).expect("parses");
         assert_eq!(back, r);
         assert!(back.is_valid(5, 0xabc, 0xdef));
         assert!(!back.is_valid(5, 0xabc, 0xdee), "wrong ECU binding rejected");
@@ -303,8 +278,53 @@ mod tests {
         // Every torn prefix (anything short of the closing brace) is
         // rejected, never half-parsed.
         for cut in 0..text.trim_end().len() {
-            assert!(ShardResult::from_json(&text[..cut]).is_err(), "accepted prefix {cut}");
+            assert!(decode(&text[..cut]).is_err(), "accepted prefix {cut}");
         }
+        // Counts that do not fit are rejected, not truncated: a
+        // `resumed` of 2^32 + 1 must not read as 1.
+        let with = |key: &str, value: &str| {
+            let mut doc = r.to_json();
+            doc.set(key, parse(value).expect("value"));
+            ShardResult::from_json(&doc)
+        };
+        for (key, value) in [
+            ("resumed", "4294967297"),
+            ("resumed", "4"),
+            ("resumed", "-1"),
+            ("shard", "18446744073709551616"),
+            ("shard", "5.0"),
+            ("checksum", "1e3"),
+            ("verdicts", "[\"hang\",null]"),
+            ("verdicts", "[\"bogus\"]"),
+            ("extra", "0"),
+        ] {
+            assert!(with(key, value).is_err(), "accepted {key}: {value}");
+        }
+        assert_eq!(with("resumed", "3").expect("every fault restored").resumed, 3);
+    }
+
+    /// A result written by the hand-built renderer this codec replaced;
+    /// its checksum is above 2^63, where an `f64` would round.
+    #[test]
+    fn shard_results_of_the_previous_renderer_load_unchanged() {
+        let text = "{\n  \"shard\": 5,\n  \"resumed\": 4,\n  \"checksum\": 11938205178991634251,\n  \
+                    \"verdicts\": [\"wrong-signature\", \"test-fail\", \"unexpected-trap\", \"hang\", \
+                    \"undetected\", \"sim-error\"]\n}\n";
+        let expected = ShardResult {
+            shard: 5,
+            resumed: 4,
+            verdicts: vec![
+                Verdict::WrongSignature,
+                Verdict::TestFail,
+                Verdict::UnexpectedTrap,
+                Verdict::Hang,
+                Verdict::Undetected,
+                Verdict::SimError,
+            ],
+            checksum: 11_938_205_178_991_634_251,
+        };
+        assert_eq!(decode(text).expect("loads"), expected);
+        assert_eq!(decode(&expected.to_json().render()).expect("round trips"), expected);
     }
 
     #[test]
@@ -312,6 +332,12 @@ mod tests {
         let mut r = ShardResult::seal(1, 10, 20, vec![Verdict::Undetected; 4], 0);
         assert!(r.is_valid(1, 10, 20));
         r.verdicts[2] = Verdict::Hang;
+        assert!(!r.is_valid(1, 10, 20));
+        // The restored count is sealed too: inflating it in transit
+        // would inflate `faults_restored`.
+        let mut r = ShardResult::seal(1, 10, 20, vec![Verdict::Undetected; 4], 1);
+        assert!(r.is_valid(1, 10, 20));
+        r.resumed = 3;
         assert!(!r.is_valid(1, 10, 20));
     }
 }

@@ -1,12 +1,17 @@
 //! A minimal JSON value type, parser and renderer.
 //!
 //! The workspace deliberately carries no external dependencies, so the
-//! observability layer brings its own JSON: enough to *validate* the
-//! Chrome traces it emits, to read and extend `BENCH_campaign.json`,
-//! and to check golden-signature fixtures into version control. Objects
-//! preserve insertion order (rendering is deterministic), numbers are
-//! `f64`, and parsing accepts exactly the JSON grammar — no comments,
-//! no trailing commas.
+//! observability layer brings its own JSON — the only codec in the
+//! workspace. It renders the Chrome traces and JSONL event logs,
+//! reads and extends `BENCH_campaign.json`, pins the golden fixtures,
+//! and carries campaign checkpoints and fleet shard results across
+//! disks and process boundaries. Objects preserve insertion order
+//! (rendering is deterministic). An unsigned integer literal parses to
+//! an exact [`Json::Int`], so 64-bit fingerprints and checksums survive
+//! a round trip; every other number is an `f64`. Parsing accepts
+//! exactly the JSON grammar — no comments, no trailing commas, no
+//! leading zeros — and rejects nesting deeper than [`MAX_DEPTH`], so
+//! hostile input costs an error, never the stack.
 
 /// A JSON value. Objects are ordered key/value lists (insertion order is
 /// preserved through a parse/render round trip).
@@ -16,7 +21,11 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any JSON number.
+    /// A non-negative integer, kept exact; the parser reads every
+    /// unsigned integer literal that fits `u64` as one.
+    Int(u64),
+    /// Any other number. An integral value renders without a fraction,
+    /// so it parses back as an [`Int`](Json::Int).
     Num(f64),
     /// A string.
     Str(String),
@@ -48,7 +57,17 @@ impl Json {
     /// The numeric value, if a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Json::Int(n) => Some(*n as f64),
             Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The exact value, if an [`Int`](Json::Int) — so never a number
+    /// written with a sign, a fraction or an exponent, or beyond `u64`.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::Int(n) => Some(*n),
             _ => None,
         }
     }
@@ -69,9 +88,9 @@ impl Json {
         }
     }
 
-    /// Convenience constructor for an integer-valued number.
+    /// An exact integer.
     pub fn int(v: u64) -> Json {
-        Json::Num(v as f64)
+        Json::Int(v)
     }
 
     /// Renders compact JSON (no whitespace).
@@ -90,58 +109,58 @@ impl Json {
     }
 
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        let (nl, pad, pad_in) = match indent {
-            Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
-            None => ("", String::new(), String::new()),
-        };
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Int(n) => out.push_str(&n.to_string()),
             Json::Num(n) => out.push_str(&render_number(*n)),
-            Json::Str(s) => out.push_str(&escape(s)),
+            Json::Str(s) => escape(out, s),
             Json::Arr(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
-                    item.write(out, indent, depth + 1);
-                }
-                out.push_str(nl);
-                out.push_str(&pad);
-                out.push(']');
+                write_seq(out, indent, depth, ['[', ']'], items.iter().map(|v| (None, v)))
             }
-            Json::Obj(fields) => {
-                if fields.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(nl);
-                    out.push_str(&pad_in);
-                    out.push_str(&escape(k));
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    v.write(out, indent, depth + 1);
-                }
-                out.push_str(nl);
-                out.push_str(&pad);
-                out.push('}');
-            }
+            Json::Obj(fields) => write_seq(
+                out,
+                indent,
+                depth,
+                ['{', '}'],
+                fields.iter().map(|(k, v)| (Some(k.as_str()), v)),
+            ),
         }
     }
+}
+
+/// Writes an array (every key `None`) or an object between `open` and
+/// `close`, one entry per line when indenting.
+fn write_seq<'a>(
+    out: &mut String,
+    indent: Option<usize>,
+    depth: usize,
+    [open, close]: [char; 2],
+    entries: impl ExactSizeIterator<Item = (Option<&'a str>, &'a Json)>,
+) {
+    let newline = |out: &mut String, depth: usize| {
+        if let Some(w) = indent {
+            out.push('\n');
+            out.extend(std::iter::repeat_n(' ', w * depth));
+        }
+    };
+    let empty = entries.len() == 0;
+    out.push(open);
+    for (i, (key, value)) in entries.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        newline(out, depth + 1);
+        if let Some(key) = key {
+            escape(out, key);
+            out.push_str(if indent.is_some() { ": " } else { ":" });
+        }
+        value.write(out, indent, depth + 1);
+    }
+    if !empty {
+        newline(out, depth);
+    }
+    out.push(close);
 }
 
 /// Renders a number the way JSON expects: integers without a fraction,
@@ -157,9 +176,8 @@ fn render_number(n: f64) -> String {
     }
 }
 
-/// Escapes a string into a quoted JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Appends `s` as a quoted JSON string literal.
+fn escape(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -173,7 +191,6 @@ pub fn escape(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// A parse failure: byte offset plus a static description.
@@ -193,14 +210,20 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// The deepest nesting of arrays and objects [`parse_json`] accepts.
+/// The parser recurses once per level, and this bound keeps a hostile
+/// document well inside a 2 MiB thread stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (trailing whitespace allowed,
 /// trailing garbage rejected).
 ///
 /// # Errors
 ///
-/// Returns the first [`JsonError`] encountered.
+/// Returns the first [`JsonError`] encountered, including nesting
+/// deeper than [`MAX_DEPTH`].
 pub fn parse_json(text: &str) -> Result<Json, JsonError> {
-    let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -213,6 +236,8 @@ pub fn parse_json(text: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -261,126 +286,134 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[', "expected '['")?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
+    /// The body of an array or object, one nesting level deeper: the
+    /// opening bracket (already peeked), `entry (, entry)*` or nothing,
+    /// then `close`.
+    fn seq(
+        &mut self,
+        close: u8,
+        mut entry: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than MAX_DEPTH"));
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
+        self.depth += 1;
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() != Some(close) {
+            loop {
+                self.skip_ws();
+                entry(self)?;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b) if b == close => break,
+                    _ => return Err(self.err("expected ',' or a closing bracket")),
                 }
-                _ => return Err(self.err("expected ',' or ']'")),
             }
         }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(())
+    }
+
+    fn array(&mut self) -> Result<Json, JsonError> {
+        let mut items = Vec::new();
+        self.seq(b']', |p| {
+            items.push(p.value()?);
+            Ok(())
+        })?;
+        Ok(Json::Arr(items))
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{', "expected '{'")?;
         let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':', "expected ':'")?;
-            self.skip_ws();
-            fields.push((key, self.value()?));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
+        self.seq(b'}', |p| {
+            let key = p.string()?;
+            p.skip_ws();
+            p.expect(b':', "expected ':'")?;
+            p.skip_ws();
+            fields.push((key, p.value()?));
+            Ok(())
+        })?;
+        Ok(Json::Obj(fields))
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"', "expected '\"'")?;
+        let bytes = self.bytes;
         let mut out = String::new();
         loop {
-            let Some(b) = self.peek() else {
-                return Err(self.err("unterminated string"));
+            // `"` and `\` are ASCII, so the run of input between them
+            // is whole UTF-8 characters.
+            let rest = &bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or(JsonError { pos: bytes.len(), msg: "unterminated string" })?;
+            out.push_str(std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid UTF-8"))?);
+            self.pos += run + 1;
+            if rest[run] == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = self.peek() else {
+                return Err(self.err("unterminated escape"));
             };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex =
-                                std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                    .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed for the
-                            // ASCII-only documents this crate emits;
-                            // lone surrogates render as U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
+            out.push(match esc {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'u' => {
+                    let hex =
+                        bytes.get(self.pos..self.pos + 4).and_then(|h| std::str::from_utf8(h).ok());
+                    let code = hex
+                        .and_then(|h| u32::from_str_radix(h, 16).ok())
+                        .ok_or_else(|| self.err("bad \\u escape"))?;
+                    self.pos += 4;
+                    // Surrogate pairs are not needed for the ASCII-only
+                    // documents this crate emits; lone surrogates read
+                    // as U+FFFD.
+                    char::from_u32(code).unwrap_or('\u{fffd}')
                 }
-                // Multi-byte UTF-8: copy continuation bytes verbatim.
-                b => {
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    if len == 0 || start + len > self.bytes.len() {
-                        return Err(self.err("invalid UTF-8 in string"));
-                    }
-                    self.pos = start + len;
-                    let s = std::str::from_utf8(&self.bytes[start..start + len])
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    out.push_str(s);
-                }
-            }
+                _ => return Err(self.err("unknown escape")),
+            });
         }
     }
 
+    /// Consumes a run of decimal digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`; an
+    /// unsigned integer that fits `u64` becomes a [`Json::Int`].
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
+        let int_start = self.pos;
+        match self.digits() {
+            0 => return Err(self.err("expected a digit")),
+            n if n > 1 && self.bytes[int_start] == b'0' => {
+                return Err(JsonError { pos: int_start, msg: "leading zero" })
+            }
+            _ => {}
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("expected a digit after '.'"));
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -388,26 +421,17 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.err("expected an exponent digit"));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("bad number"))?;
-        text.parse::<f64>().map(Json::Num).map_err(|_| JsonError {
-            pos: start,
-            msg: "bad number",
-        })
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        0xf0..=0xf7 => 4,
-        _ => 0,
+        // `u64` parsing refuses a sign, a fraction and an exponent, so
+        // exactly the unsigned integer literals within range are exact.
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or_default();
+        text.parse::<u64>()
+            .map(Json::Int)
+            .or_else(|_| text.parse::<f64>().map(Json::Num))
+            .map_err(|_| JsonError { pos: start, msg: "bad number" })
     }
 }
 
@@ -426,9 +450,55 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["", "{", "[1,]", "{\"a\":}", "tru", "1 2", "\"\\q\"", "{\"a\" 1}"] {
+        // 100 000 open brackets overflowed a 2 MiB stack before nesting
+        // was bounded; now they are one more malformed document.
+        let deep = "[".repeat(100_000);
+        for bad in [
+            "",
+            "{",
+            "[1,]",
+            "{\"a\":}",
+            "tru",
+            "1 2",
+            "\"\\q\"",
+            "{\"a\" 1}",
+            "01",
+            "-01",
+            "00",
+            "1.",
+            "1.e5",
+            "-",
+            "1e",
+            &deep,
+        ] {
             assert!(parse_json(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse_json(&nest(MAX_DEPTH)).is_ok());
+        let err = parse_json(&nest(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!(err.pos, MAX_DEPTH);
+        assert!(parse_json(&format!("{{\"a\":{}}}", nest(MAX_DEPTH))).is_err());
+    }
+
+    #[test]
+    fn unsigned_integers_are_exact() {
+        // An FNV offset basis: above 2^53, so an f64 would round it.
+        let v = parse_json("14695981039346656037").expect("parses");
+        assert_eq!(v, Json::int(14_695_981_039_346_656_037));
+        assert_eq!(v.as_u64(), Some(14_695_981_039_346_656_037));
+        assert_eq!(v.render(), "14695981039346656037");
+        assert_eq!(Json::int(u64::MAX).render(), u64::MAX.to_string());
+        for (text, num) in
+            [("-3", -3.0), ("0.5", 0.5), ("2e3", 2000.0), ("18446744073709551616", 2f64.powi(64))]
+        {
+            let v = parse_json(text).expect("parses");
+            assert_eq!((v.as_u64(), v.as_f64()), (None, Some(num)), "{text}");
+        }
+        assert_eq!(parse_json("0").expect("parses").as_u64(), Some(0));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! into: per-core pipeline counters, per-cache hit/miss counters,
 //! per-bus-port grant-latency histograms, a bounded structured event
 //! ring, and campaign-level telemetry — plus Chrome-trace
-//! (`chrome://tracing`) and JSONL exporters and a minimal hand-written
-//! JSON parser/renderer (the workspace carries no serde).
+//! (`chrome://tracing`) and JSONL exporters and [`json`], the
+//! workspace's one JSON codec (it carries no serde).
 //!
 //! ## Design contract
 //!

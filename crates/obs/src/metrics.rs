@@ -7,7 +7,7 @@
 //! metrics, bit for bit.
 
 use crate::hist::Histogram;
-use crate::json::{parse_json, Json};
+use crate::json::Json;
 use crate::ring::EventRing;
 use crate::trace::{TraceEvent, TraceKind};
 
@@ -423,7 +423,6 @@ impl MetricsHub {
         }
         for event in &self.events {
             let tid = event.core.map_or(0, |c| u64::from(c) + 1);
-            let args = parse_json(&event.args_json()).unwrap_or(Json::Obj(Vec::new()));
             trace.push(Json::Obj(vec![
                 ("name".into(), Json::Str(event.kind.name().into())),
                 ("ph".into(), Json::Str("i".into())),
@@ -431,7 +430,7 @@ impl MetricsHub {
                 ("ts".into(), Json::int(event.cycle)),
                 ("pid".into(), Json::int(0)),
                 ("tid".into(), Json::int(tid)),
-                ("args".into(), args),
+                ("args".into(), event.args()),
             ]));
         }
         for (i, core) in self.cores.iter().enumerate() {
@@ -461,24 +460,25 @@ impl MetricsHub {
     /// (`cycle`, `core`, `kind`, `args`), ready for `jq`-style
     /// filtering.
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for event in &self.events {
-            let core = event.core.map_or("null".to_string(), |c| c.to_string());
-            out.push_str(&format!(
-                "{{\"cycle\":{},\"core\":{},\"kind\":\"{}\",\"args\":{}}}\n",
-                event.cycle,
-                core,
-                event.kind.name(),
-                event.args_json(),
-            ));
-        }
-        out
+        self.events
+            .iter()
+            .map(|event| {
+                let line = Json::Obj(vec![
+                    ("cycle".into(), Json::int(event.cycle)),
+                    ("core".into(), event.core.map_or(Json::Null, |c| Json::int(c.into()))),
+                    ("kind".into(), Json::Str(event.kind.name().into())),
+                    ("args".into(), event.args()),
+                ]);
+                line.render() + "\n"
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::parse_json;
 
     fn sample_hub() -> MetricsHub {
         let mut bus_obs = BusObs::new(2, 8);

@@ -9,6 +9,8 @@
 //!
 //! [`EventRing`]: crate::ring::EventRing
 
+use crate::json::Json;
+
 /// What happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceKind {
@@ -121,39 +123,41 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// Renders the event's payload as a Chrome-trace / JSONL `args`
-    /// object body (the `{...}` without braces is inconvenient, so the
-    /// whole object is returned).
-    pub fn args_json(&self) -> String {
-        match self.kind {
-            TraceKind::Fetch { pc, slots } => {
-                format!("{{\"pc\":\"{pc:#x}\",\"slots\":{slots}}}")
-            }
-            TraceKind::BusGrant { port, wait, addr, write } => format!(
-                "{{\"port\":{port},\"wait\":{wait},\"addr\":\"{addr:#x}\",\"write\":{write}}}"
-            ),
-            TraceKind::SeuStrike { landed } => format!("{{\"landed\":{landed}}}"),
-            TraceKind::Quarantine { cause } => {
-                format!("{{\"cause\":{}}}", crate::json::escape(cause))
-            }
+    /// The event's payload: the `args` object of its Chrome-trace
+    /// instant and of its JSONL line.
+    pub fn args(&self) -> Json {
+        let int = |v: u32| Json::int(v.into());
+        let hex = |v: u32| Json::Str(format!("{v:#x}"));
+        let text = |s: &str| Json::Str(s.into());
+        let fields = match self.kind {
+            TraceKind::Fetch { pc, slots } => vec![("pc", hex(pc)), ("slots", int(slots.into()))],
+            TraceKind::BusGrant { port, wait, addr, write } => vec![
+                ("port", int(port.into())),
+                ("wait", int(wait)),
+                ("addr", hex(addr)),
+                ("write", Json::Bool(write)),
+            ],
+            TraceKind::SeuStrike { landed } => vec![("landed", Json::Bool(landed))],
+            TraceKind::Quarantine { cause } => vec![("cause", text(cause))],
             TraceKind::ShardLease { shard, attempt } => {
-                format!("{{\"shard\":{shard},\"attempt\":{attempt}}}")
+                vec![("shard", int(shard)), ("attempt", int(attempt.into()))]
             }
-            TraceKind::ShardRetry { shard, failures, backoff_ms, cause } => format!(
-                "{{\"shard\":{shard},\"failures\":{failures},\"backoff_ms\":{backoff_ms},\"cause\":{}}}",
-                crate::json::escape(cause)
-            ),
-            TraceKind::ShardSteal { shard } => format!("{{\"shard\":{shard}}}"),
+            TraceKind::ShardRetry { shard, failures, backoff_ms, cause } => vec![
+                ("shard", int(shard)),
+                ("failures", int(failures.into())),
+                ("backoff_ms", int(backoff_ms)),
+                ("cause", text(cause)),
+            ],
+            TraceKind::ShardSteal { shard } => vec![("shard", int(shard))],
             TraceKind::ShardQuarantine { shard, cause } => {
-                format!("{{\"shard\":{shard},\"cause\":{}}}", crate::json::escape(cause))
+                vec![("shard", int(shard)), ("cause", text(cause))]
             }
             TraceKind::ShardDone { shard, restored } => {
-                format!("{{\"shard\":{shard},\"restored\":{restored}}}")
+                vec![("shard", int(shard)), ("restored", int(restored))]
             }
-            TraceKind::ICacheMiss | TraceKind::DCacheMiss | TraceKind::WatchdogBite => {
-                "{}".to_string()
-            }
-        }
+            TraceKind::ICacheMiss | TraceKind::DCacheMiss | TraceKind::WatchdogBite => Vec::new(),
+        };
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
     }
 }
 
@@ -161,46 +165,94 @@ impl TraceEvent {
 mod tests {
     use super::*;
 
+    /// Every kind's JSONL line and Chrome-trace `args`, byte for byte
+    /// as the hand-built renderer wrote them before `args` returned a
+    /// [`Json`] value.
     #[test]
     fn args_render_as_valid_json() {
-        let events = [
-            TraceEvent { cycle: 1, core: Some(0), kind: TraceKind::Fetch { pc: 0x400, slots: 2 } },
-            TraceEvent { cycle: 2, core: None, kind: TraceKind::WatchdogBite },
-            TraceEvent {
-                cycle: 3,
-                core: None,
-                kind: TraceKind::BusGrant { port: 6, wait: 17, addr: 0x100, write: false },
-            },
-            TraceEvent { cycle: 4, core: Some(2), kind: TraceKind::Quarantine { cause: "x\"y" } },
-            TraceEvent {
-                cycle: 5,
-                core: Some(1),
-                kind: TraceKind::ShardLease { shard: 7, attempt: 0 },
-            },
-            TraceEvent {
-                cycle: 6,
-                core: Some(1),
-                kind: TraceKind::ShardRetry {
-                    shard: 7,
-                    failures: 2,
-                    backoff_ms: 12,
-                    cause: "worker panic",
-                },
-            },
-            TraceEvent { cycle: 7, core: None, kind: TraceKind::ShardSteal { shard: 7 } },
-            TraceEvent {
-                cycle: 8,
-                core: None,
-                kind: TraceKind::ShardQuarantine { shard: 7, cause: "hang" },
-            },
-            TraceEvent {
-                cycle: 9,
-                core: Some(0),
-                kind: TraceKind::ShardDone { shard: 7, restored: 3 },
-            },
+        use crate::json::parse_json;
+        use crate::metrics::MetricsHub;
+
+        let event = |cycle, core, kind| TraceEvent { cycle, core, kind };
+        let cases = [
+            (
+                event(1, Some(0), TraceKind::Fetch { pc: 0x400, slots: 2 }),
+                r#"{"cycle":1,"core":0,"kind":"fetch","args":{"pc":"0x400","slots":2}}"#,
+            ),
+            (
+                event(2, None, TraceKind::WatchdogBite),
+                r#"{"cycle":2,"core":null,"kind":"watchdog-bite","args":{}}"#,
+            ),
+            (
+                event(
+                    3,
+                    None,
+                    TraceKind::BusGrant { port: 6, wait: 17, addr: 0x100, write: false },
+                ),
+                r#"{"cycle":3,"core":null,"kind":"bus-grant","args":{"port":6,"wait":17,"addr":"0x100","write":false}}"#,
+            ),
+            (
+                event(4, Some(2), TraceKind::Quarantine { cause: "x\"y" }),
+                r#"{"cycle":4,"core":2,"kind":"quarantine","args":{"cause":"x\"y"}}"#,
+            ),
+            (
+                event(5, Some(1), TraceKind::ShardLease { shard: 7, attempt: 0 }),
+                r#"{"cycle":5,"core":1,"kind":"shard-lease","args":{"shard":7,"attempt":0}}"#,
+            ),
+            (
+                event(
+                    6,
+                    Some(1),
+                    TraceKind::ShardRetry {
+                        shard: 7,
+                        failures: 2,
+                        backoff_ms: 12,
+                        cause: "worker panic",
+                    },
+                ),
+                r#"{"cycle":6,"core":1,"kind":"shard-retry","args":{"shard":7,"failures":2,"backoff_ms":12,"cause":"worker panic"}}"#,
+            ),
+            (
+                event(7, None, TraceKind::ShardSteal { shard: 7 }),
+                r#"{"cycle":7,"core":null,"kind":"shard-steal","args":{"shard":7}}"#,
+            ),
+            (
+                event(8, None, TraceKind::ShardQuarantine { shard: 7, cause: "hang" }),
+                r#"{"cycle":8,"core":null,"kind":"shard-quarantine","args":{"shard":7,"cause":"hang"}}"#,
+            ),
+            (
+                event(9, Some(0), TraceKind::ShardDone { shard: 7, restored: 3 }),
+                r#"{"cycle":9,"core":0,"kind":"shard-done","args":{"shard":7,"restored":3}}"#,
+            ),
+            (
+                event(10, Some(1), TraceKind::ICacheMiss),
+                r#"{"cycle":10,"core":1,"kind":"icache-miss","args":{}}"#,
+            ),
+            (
+                event(11, Some(2), TraceKind::DCacheMiss),
+                r#"{"cycle":11,"core":2,"kind":"dcache-miss","args":{}}"#,
+            ),
+            (
+                event(12, None, TraceKind::SeuStrike { landed: true }),
+                r#"{"cycle":12,"core":null,"kind":"seu-strike","args":{"landed":true}}"#,
+            ),
+            (
+                event(
+                    u64::MAX,
+                    Some(255),
+                    TraceKind::BusGrant { port: 255, wait: u32::MAX, addr: u32::MAX, write: true },
+                ),
+                r#"{"cycle":18446744073709551615,"core":255,"kind":"bus-grant","args":{"port":255,"wait":4294967295,"addr":"0xffffffff","write":true}}"#,
+            ),
         ];
-        for e in events {
-            crate::json::parse_json(&e.args_json()).expect("valid args");
+        for (e, line) in cases {
+            let hub = MetricsHub { events: vec![e], ..MetricsHub::default() };
+            assert_eq!(hub.to_jsonl(), format!("{line}\n"));
+            let trace = parse_json(&hub.to_chrome_trace()).expect("valid trace");
+            let instant = &trace.get("traceEvents").and_then(Json::as_arr).expect("events")[1];
+            let args = &line[line.find(r#""args":"#).expect("args") + 7..line.len() - 1];
+            assert_eq!(instant.get("args").map(Json::render).as_deref(), Some(args));
+            assert_eq!(e.args().render(), args);
             assert!(!e.kind.name().is_empty());
         }
     }
