@@ -16,9 +16,10 @@
 //!   asserted, no throughput floors).
 //! * `smoke` — CI mode: a tiny fault list, asserts verdict equivalence
 //!   only (no timing assertions — CI machines are noisy).
-//! * `ppsfp [--smoke|--quick|--standard]` — PPSFP-focused CI step: warm
-//!   vs PPSFP only, asserting verdict parity always and a PPSFP-beats-
-//!   warm speedup when the machine has ≥ [`MIN_CORES`] cores.
+//! * `ppsfp [--smoke|--quick|--standard]` — PPSFP-focused CI step: cold
+//!   vs warm vs PPSFP, asserting verdict parity with the cold reference
+//!   and a working loop decider always, and a PPSFP-beats-warm speedup
+//!   when the machine has ≥ [`MIN_CORES`] cores.
 
 use std::time::Instant;
 
@@ -204,8 +205,11 @@ fn main() {
     }
 }
 
-/// The `ppsfp` CLI mode — the CI bench step. Warm vs PPSFP on the
-/// chosen tier: verdict parity is asserted unconditionally; the
+/// The `ppsfp` CLI mode — the CI bench step. Cold vs warm vs PPSFP on
+/// the chosen tier: verdict parity with the cold reference, and a loop
+/// decider that decided some of the list's hangs, are asserted
+/// unconditionally (the warm tier and the PPSFP fallback share the tail
+/// driver, so warm parity alone would not check the decider); the
 /// speedup floor only on machines with at least [`MIN_CORES`] cores.
 fn ppsfp_mode(tier: &str) {
     let effort = match tier {
@@ -228,6 +232,7 @@ fn ppsfp_mode(tier: &str) {
     let faults = effort.sample(collapsed.representatives());
     println!("bench_campaign [ppsfp {tier}]: {} collapsed forwarding faults", faults.len());
 
+    let (_, cold) = run_campaign_detailed(&exp, &golden, &faults, effort.threads);
     let t = Instant::now();
     let (_, warm) = run_campaign_warm_detailed(&exp, &golden, &faults, effort.threads);
     let warm_t = timed(t, faults.len());
@@ -236,8 +241,17 @@ fn ppsfp_mode(tier: &str) {
         run_campaign_ppsfp_detailed(&exp, &golden, &faults, effort.threads);
     let ppsfp_t = timed(t, faults.len());
 
-    assert_eq!(warm, ppsfp, "PPSFP verdicts diverged from the serial warm path");
+    assert_eq!(cold, warm, "warm verdicts diverged from the cold reference");
+    assert_eq!(cold, ppsfp, "PPSFP verdicts diverged from the cold reference");
     assert_eq!(result.sim_errors, 0, "PPSFP graders crashed");
+    // Nearly every hang of this cache-wrapped forwarding list is the
+    // wrapper loop spinning with a drifting counter: a decider that
+    // decides none of them is broken, not unlucky.
+    assert!(
+        stats.loop_short_circuits > 0,
+        "the loop decider decided none of the list's {} hangs",
+        result.hang
+    );
     let speedup = ppsfp_t.faults_per_sec / warm_t.faults_per_sec;
     println!(
         "warm: {:.2}s ({:.1} faults/sec) | ppsfp: {:.2}s ({:.1} faults/sec) | {speedup:.2}x",
@@ -253,7 +267,7 @@ fn ppsfp_mode(tier: &str) {
     } else {
         println!("({} cores < {MIN_CORES}: speedup assertion skipped)", cores());
     }
-    println!("ppsfp verdict parity over {} faults: ok", faults.len());
+    println!("cold/warm/ppsfp verdict parity over {} faults: ok", faults.len());
 }
 
 fn timed(since: Instant, faults: usize) -> Timed {

@@ -15,6 +15,8 @@ use sbst_stl::{
     RESULT_SIG_OFF, RESULT_STATUS_OFF, STATUS_DONE, Terminator,
 };
 
+use crate::tail::{run_tail, LoopCheck};
+
 /// Builds the (core-kind specific) routine each core of the SoC runs.
 pub type RoutineFactory<'a> = dyn Fn(CoreKind) -> Box<dyn SelfTestRoutine> + Sync + 'a;
 
@@ -106,10 +108,12 @@ pub struct Snapshot {
     /// budget (1.5× the golden tail) was tried and rejected: the
     /// equivalence suite found faults that *finish* at 2.4–2.8× golden
     /// (e.g. a stuck EPC bit re-executing code after every trap), which
-    /// such a budget misclassifies as hangs. The fast path's win comes
-    /// from skipping the prefix and from the early core-under-test halt
-    /// exit, not from cutting hangs short.
+    /// such a budget misclassifies as hangs. A warm hang ends before the
+    /// budget only when the tail driver's loop decider proves that the
+    /// run would reach it; the outcome then still reports the budget.
     budget: u64,
+    /// The golden run's cycle count: the loop decider starts after it.
+    golden_cycles: u64,
 }
 
 impl Snapshot {
@@ -119,7 +123,7 @@ impl Snapshot {
         self.soc.cycle()
     }
 
-    /// The warm run's absolute cycle budget.
+    /// The warm run's absolute cycle budget (see the field docs).
     pub fn budget(&self) -> u64 {
         self.budget
     }
@@ -412,7 +416,7 @@ impl Experiment {
                 "core under test never issued within the golden run"
             );
         }
-        Snapshot { budget: self.watchdog, soc: prev }
+        Snapshot { budget: self.watchdog, golden_cycles: golden.cycles, soc: prev }
     }
 
     /// Runs one fault from `snapshot` instead of from reset: clones the
@@ -427,28 +431,24 @@ impl Experiment {
     ///   cleanly exactly as in the golden run, so waiting for them
     ///   cannot change the classification;
     /// - the golden-calibrated [`Snapshot::budget`] expiring (or the
-    ///   software watchdog biting) decides [`Verdict::Hang`].
+    ///   software watchdog biting) decides [`Verdict::Hang`];
+    /// - so does the tail driver's loop decider, once it proves a
+    ///   periodic run would reach the budget. The outcome then reports
+    ///   `Watchdog { cycles: budget }`, while the observation's `cycles`
+    ///   counts the cycles actually simulated.
     pub fn run_warm(&self, snapshot: &Snapshot, plane: FaultPlane) -> Observation {
-        let mut soc = snapshot.soc.clone();
-        soc.core_mut(0).set_plane(plane);
-        let outcome = loop {
-            if soc.cycle() >= snapshot.budget {
-                break RunOutcome::Watchdog { cycles: soc.cycle() };
-            }
-            soc.step();
-            if let Some(core) =
-                (0..soc.core_count()).find(|&i| soc.core(i).fatal_trap())
-            {
-                break RunOutcome::FatalTrap { core, cycles: soc.cycle() };
-            }
-            if soc.core(0).halted() {
-                break RunOutcome::AllHalted { cycles: soc.cycle() };
-            }
-            if soc.bus().watchdog().bitten() {
-                break RunOutcome::Watchdog { cycles: soc.cycle() };
-            }
-        };
-        self.observe(&soc, outcome)
+        self.run_warm_checked(snapshot, plane).0
+    }
+
+    /// [`run_warm`](Experiment::run_warm) plus what the loop decider
+    /// did.
+    pub(crate) fn run_warm_checked(
+        &self,
+        snapshot: &Snapshot,
+        plane: FaultPlane,
+    ) -> (Observation, LoopCheck) {
+        let tail = run_tail(&snapshot.soc, plane, snapshot.golden_cycles, snapshot.budget);
+        (self.observe(&tail.soc, tail.outcome), tail.check)
     }
 
     /// Runs fault-free (the golden reference of this scenario).

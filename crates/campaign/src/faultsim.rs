@@ -13,9 +13,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use sbst_fault::{FaultList, FaultSite, Verdict};
+use sbst_fault::{FaultList, FaultPlane, FaultSite, Verdict};
 
 use crate::experiment::{Experiment, Observation, Snapshot};
+use crate::tail::LoopCheck;
 
 /// Grades one fault site into a [`Verdict`] — the seam the campaign
 /// engine runs behind. The production implementation is an
@@ -41,9 +42,10 @@ impl FaultGrader for ExperimentGrader<'_> {
 }
 
 /// The warm-start grader: clones the golden-prefix [`Snapshot`] per
-/// fault and simulates only the tail with early-verdict exit (the
+/// fault and simulates only the tail through the tail driver (the
 /// campaign fast path; verdict-equivalent to [`ExperimentGrader`],
-/// asserted by the warm-start test suite).
+/// asserted by the warm-start test suite). The warm tier and the PPSFP
+/// fallback both grade with it.
 pub(crate) struct WarmExperimentGrader<'a> {
     /// The configured experiment.
     pub experiment: &'a Experiment,
@@ -51,11 +53,28 @@ pub(crate) struct WarmExperimentGrader<'a> {
     pub golden: &'a Observation,
     /// The golden-prefix snapshot (see [`Experiment::snapshot`]).
     pub snapshot: &'a Snapshot,
+    /// Tails whose hang the loop decider decided.
+    pub decided: AtomicUsize,
+}
+
+impl<'a> WarmExperimentGrader<'a> {
+    pub fn new(
+        experiment: &'a Experiment,
+        golden: &'a Observation,
+        snapshot: &'a Snapshot,
+    ) -> WarmExperimentGrader<'a> {
+        WarmExperimentGrader { experiment, golden, snapshot, decided: AtomicUsize::new(0) }
+    }
 }
 
 impl FaultGrader for WarmExperimentGrader<'_> {
     fn grade(&self, site: FaultSite) -> Verdict {
-        self.experiment.test_fault_warm(self.golden, self.snapshot, site)
+        let (faulty, check) =
+            self.experiment.run_warm_checked(self.snapshot, FaultPlane::armed(site));
+        if check == LoopCheck::Decided {
+            self.decided.fetch_add(1, Ordering::Relaxed);
+        }
+        Experiment::classify(self.golden, &faulty)
     }
 }
 
@@ -337,7 +356,7 @@ pub fn run_campaign_warm_detailed(
     threads: usize,
 ) -> (CampaignResult, Vec<(FaultSite, Verdict)>) {
     let snapshot = experiment.snapshot(golden);
-    let grader = WarmExperimentGrader { experiment, golden, snapshot: &snapshot };
+    let grader = WarmExperimentGrader::new(experiment, golden, &snapshot);
     let (result, records, _) = run_campaign_graded(&grader, faults, threads);
     (result, records)
 }

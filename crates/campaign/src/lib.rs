@@ -48,6 +48,8 @@ pub mod split;
 mod faultsim;
 mod ppsfp;
 pub mod tables;
+mod tail;
+mod tape;
 
 pub use chaos::{run_chaos_campaign, ChaosCell, ChaosReport, ChaosSweepConfig, ChaosTelemetry};
 pub use checkpoint::{

@@ -6,11 +6,12 @@
 //! the snapshot point.
 
 use sbst_campaign::{
-    routines_for, run_campaign_detailed, run_campaign_warm_detailed, ExecStyle, Experiment,
+    routines_for, run_campaign_detailed, run_campaign_ppsfp_detailed,
+    run_campaign_warm_detailed, ExecStyle, Experiment,
 };
 use sbst_cpu::{unit_fault_list, CoreKind};
-use sbst_fault::{collapse, Element, FaultPlane, FaultSite, Polarity, Unit, Verdict};
-use sbst_soc::Scenario;
+use sbst_fault::{collapse, Element, FaultList, FaultPlane, FaultSite, Polarity, Unit, Verdict};
+use sbst_soc::{RunOutcome, Scenario};
 
 fn multicore_exp(kind: CoreKind, unit: Unit) -> Experiment {
     let factory = routines_for(unit);
@@ -96,6 +97,9 @@ fn snapshot_prefix_and_early_exit_shape() {
 /// A known permanent-stall fault grades as a hang through the warm
 /// path, with the budget expiring at the exact absolute cycle the cold
 /// watchdog would — the hang decision is the same deadline either way.
+/// The global-stall freeze repeats one state, so the loop decider
+/// decides it early and reports that deadline; an aperiodic ICU trap
+/// storm still simulates to exactly it.
 #[test]
 fn warm_hang_verdict_expires_at_the_cold_cutoff() {
     let exp = multicore_exp(CoreKind::A, Unit::Hdcu);
@@ -111,8 +115,57 @@ fn warm_hang_verdict_expires_at_the_cold_cutoff() {
     let warm = exp.run_warm(&snapshot, FaultPlane::armed(site));
     assert_eq!(Experiment::classify(&golden, &warm), Verdict::Hang);
     assert_eq!(
-        warm.cycles,
-        golden.cycles * 4 + 20_000,
-        "a warm hang must run to the cold path's golden-calibrated cutoff"
+        warm.outcome,
+        RunOutcome::Watchdog { cycles: golden.cycles * 4 + 20_000 },
+        "a warm hang must expire at the cold path's golden-calibrated cutoff"
+    );
+
+    // EPC bit 20 stuck at 1: every trap returns outside the program, so
+    // the core sweeps through unprogrammed words and never repeats.
+    let exp = multicore_exp(CoreKind::A, Unit::Icu);
+    let golden = exp.golden();
+    let snapshot = exp.snapshot(&golden);
+    let storm = unit_fault_list(CoreKind::A, Unit::Icu)
+        .sites()
+        .iter()
+        .copied()
+        .find(|s| s.element == Element::EpcBit { bit: 20 } && s.polarity == Polarity::StuckAt1)
+        .expect("the ICU list has EPC bit sites");
+    assert_eq!(exp.test_fault(&golden, storm), Verdict::Hang);
+    let warm = exp.run_warm(&snapshot, FaultPlane::armed(storm));
+    let cutoff = golden.cycles * 4 + 20_000;
+    assert_eq!(warm.outcome, RunOutcome::Watchdog { cycles: cutoff });
+    assert_eq!(warm.cycles, cutoff, "an aperiodic hang must simulate to the cutoff");
+}
+
+/// The full-list walls above are cache-wrapped, but the legacy-uncached
+/// hangs are where the loop decider earns its keep: the wrapper's
+/// one-iteration loop spinning on a drifting counter. Cold, warm and
+/// PPSFP verdicts must agree on a deterministic sublist holding several
+/// such hangs, and the decider must have decided every one of them —
+/// otherwise the equality says nothing about it.
+#[test]
+fn legacy_uncached_hangs_are_decided_with_cold_verdicts() {
+    let factory = routines_for(Unit::Forwarding);
+    let exp = Experiment::assemble(
+        &*factory,
+        CoreKind::A,
+        ExecStyle::LegacyUncached,
+        &Scenario { active_cores: 3, ..Scenario::single_core() },
+    )
+    .expect("experiment assembles");
+    let golden = exp.golden();
+    let reps = collapse(&unit_fault_list(CoreKind::A, Unit::Forwarding));
+    let list =
+        FaultList::from_sites(reps.representatives().sites().iter().copied().skip(25).step_by(50).collect());
+    let (cold_result, cold) = run_campaign_detailed(&exp, &golden, &list, 0);
+    let (_, warm) = run_campaign_warm_detailed(&exp, &golden, &list, 0);
+    let (_, ppsfp, stats) = run_campaign_ppsfp_detailed(&exp, &golden, &list, 0);
+    assert_eq!(cold, warm);
+    assert_eq!(cold, ppsfp);
+    assert!(cold_result.hang >= 8, "only {} hangs in the sublist", cold_result.hang);
+    assert_eq!(
+        stats.loop_short_circuits, cold_result.hang,
+        "the loop decider must decide every hang of the sublist"
     );
 }

@@ -99,7 +99,7 @@ struct ExInEntry {
 /// counter, so it never repeats across loop iterations, while its only
 /// consumer (`raise_seq`, and through it the trap imprecision depth) is
 /// a sequence-number *difference* — invariant across a loop period.
-/// See [`Core::loop_state_eq`] for the full soundness argument.
+/// See [`Core::loop_state_diff`] for the full soundness argument.
 fn ex_in_eq(a: &[Option<ExInEntry>; 2], b: &[Option<ExInEntry>; 2]) -> bool {
     a.iter().zip(b).all(|(x, y)| match (x, y) {
         (None, None) => true,
@@ -169,14 +169,15 @@ pub struct StageView {
 /// the recorded inputs, re-evaluates the shared
 /// [`mux_eval`](crate::mux_eval) decomposition for its own faulted mux
 /// instance, and tracks where its machine state diverges from the
-/// fault-free run — without stepping a second SoC.
+/// fault-free run — without stepping a second SoC. Indices and select
+/// codes are bytes, so a recording of many cycles stays small.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TapEvent {
     /// WB committed a retiring instruction to the register file
     /// (`dest = None`: the entry retired without a destination).
     WbCommit {
         /// Pipe index.
-        pipe: usize,
+        pipe: u8,
         /// Destination register (base index, 64-bit pair flag).
         dest: Option<(u8, bool)>,
         /// Committed value.
@@ -186,11 +187,11 @@ pub enum TapEvent {
     /// value as it moved from EX/MEM to MEM/WB.
     WbMux {
         /// Pipe index (mux instance `wb_mux_id(pipe)`).
-        pipe: usize,
+        pipe: u8,
         /// Mux inputs: ALU result, load data, CSR read value.
         inputs: [u64; WB_SOURCES],
         /// Select code (`WB_SRC_*`).
-        sel: usize,
+        sel: u8,
         /// Fault-free mux output (the entry's writeback value).
         out: u64,
         /// The entry's data-memory operation, if any (the grader needs
@@ -201,22 +202,22 @@ pub enum TapEvent {
     /// An operand-bypass mux resolved operand `operand` of slot `slot`.
     ExOperand {
         /// Issue slot (mux instance `operand_mux_id(slot, operand)`).
-        slot: usize,
+        slot: u8,
         /// Operand index.
-        operand: usize,
+        operand: u8,
         /// Source register of the register-file input (base, 64-bit).
         rf_src: Option<(u8, bool)>,
         /// Mux inputs (indexed by the `SRC_*` constants).
         inputs: [u64; OPERAND_SOURCES],
         /// HDCU-encoded select (`None` = dead code).
-        sel: Option<usize>,
+        sel: Option<u8>,
         /// Fault-free mux output (the resolved operand).
         out: u64,
     },
     /// EX executed one instruction with the given resolved operands.
     ExExec {
         /// Issue slot.
-        slot: usize,
+        slot: u8,
         /// The instruction (`None` = undecodable word).
         instr: Option<Instr>,
         /// Its address.
@@ -304,17 +305,18 @@ impl Core {
     /// Enables or disables the micro-architectural event tap. While
     /// enabled, [`step`](Core::step) appends [`TapEvent`]s in exact
     /// intra-cycle order; drain them with
-    /// [`take_tap_events`](Core::take_tap_events) (typically once per
-    /// step). Observation only — simulated behavior is unchanged.
+    /// [`append_tap_events`](Core::append_tap_events) (typically once
+    /// per step). Observation only — simulated behavior is unchanged.
     pub fn set_tap(&mut self, enable: bool) {
         self.tap = enable.then(Vec::new);
     }
 
-    /// Drains the tap buffer (empty when the tap is disabled).
-    pub fn take_tap_events(&mut self) -> Vec<TapEvent> {
-        match &mut self.tap {
-            Some(buf) => std::mem::take(buf),
-            None => Vec::new(),
+    /// Moves the buffered tap events to the end of `out` (nothing when
+    /// the tap is disabled). The tap keeps its buffer's capacity, so
+    /// draining once per step allocates nothing in steady state.
+    pub fn append_tap_events(&mut self, out: &mut Vec<TapEvent>) {
+        if let Some(buf) = &mut self.tap {
+            out.append(buf);
         }
     }
 
@@ -332,20 +334,25 @@ impl Core {
         self.plane
     }
 
-    /// Architectural-trajectory equality for livelock detection: two
-    /// cores whose `loop_state_eq` states are equal, stepped against
-    /// equal bus states, evolve identically — *modulo* the deliberately
+    /// Architectural-trajectory comparison for livelock detection,
+    /// *modulo* the architectural registers: `None` when any other
+    /// state differs, otherwise `Some(mask)` with bit `r` set where
+    /// register `r` differs (`Some(0)`: the states are equal).
+    ///
+    /// Two cores whose states compare `Some(0)`, stepped against equal
+    /// bus states, evolve identically — modulo the deliberately
     /// excluded free-running state: the performance counters and the
     /// issue/raise sequence numbers, including the in-flight copy each
     /// `ExInEntry` carries (all monotone; only their *difference* —
     /// the imprecision depth — is architecturally visible, and a
     /// difference is invariant across one loop period). The exclusions
     /// are sound only when the compared trajectory never reads a
-    /// counter CSR; the campaign's loop detector verifies that
-    /// separately from the instruction tap.
-    pub fn loop_state_eq(&self, other: &Core) -> bool {
-        self.regs == other.regs
-            && self.csr.loop_state_eq(&other.csr)
+    /// counter CSR; the campaign's loop decider verifies that
+    /// separately from the instruction tap. A non-zero mask is the
+    /// register drift of a loop the decider replays (see
+    /// [`ex_in_sources`](Core::ex_in_sources)).
+    pub fn loop_state_diff(&self, other: &Core) -> Option<u32> {
+        let same = self.csr.loop_state_eq(&other.csr)
             && self.icu == other.icu
             && self.fwd.delay_state() == other.fwd.delay_state()
             && ex_in_eq(&self.ex_in, &other.ex_in)
@@ -358,7 +365,23 @@ impl Core {
             && self.fetch.state_eq(&other.fetch)
             && self.lsu.state_eq(&other.lsu)
             && self.itcm.state_eq(&other.itcm)
-            && self.dtcm.state_eq(&other.dtcm)
+            && self.dtcm.state_eq(&other.dtcm);
+        same.then(|| {
+            (0..32).filter(|&r| self.regs[r] != other.regs[r]).fold(0, |m, r| m | 1 << r)
+        })
+    }
+
+    /// Registers the in-flight EX-input entries source, one bit per
+    /// register (both halves of a 64-bit pair).
+    pub fn ex_in_sources(&self) -> u32 {
+        let mut mask = 0u32;
+        for (base, is64) in self.ex_in.iter().flatten().flat_map(|e| e.src).flatten() {
+            mask |= 1 << base;
+            if is64 && base < 31 {
+                mask |= 1 << (base + 1);
+            }
+        }
+        mask
     }
 
     /// Arms a fault (call before the first step).
@@ -527,7 +550,7 @@ impl Core {
         for pipe in 0..2 {
             if let Some(e) = self.memwb[pipe].take() {
                 if let Some(t) = &mut self.tap {
-                    t.push(TapEvent::WbCommit { pipe, dest: e.dest, value: e.value });
+                    t.push(TapEvent::WbCommit { pipe: pipe as u8, dest: e.dest, value: e.value });
                 }
                 if let Some((d, is64)) = e.dest {
                     self.write_reg(d, is64, e.value);
@@ -566,9 +589,9 @@ impl Core {
                     e.value = self.fwd.wb_value(pipe, &inputs, e.wb_sel, &self.plane);
                     if let Some(t) = &mut self.tap {
                         t.push(TapEvent::WbMux {
-                            pipe,
+                            pipe: pipe as u8,
                             inputs,
-                            sel: e.wb_sel,
+                            sel: e.wb_sel as u8,
                             out: e.value,
                             mem: e.mem,
                         });
@@ -707,11 +730,11 @@ impl Core {
                 ops[operand] = self.fwd.operand(slot, operand, &inputs, sel, &self.plane);
                 if let Some(t) = &mut self.tap {
                     t.push(TapEvent::ExOperand {
-                        slot,
-                        operand,
+                        slot: slot as u8,
+                        operand: operand as u8,
                         rf_src: entry.src[operand],
                         inputs,
-                        sel,
+                        sel: sel.map(|s| s as u8),
                         out: ops[operand],
                     });
                 }
@@ -860,7 +883,7 @@ impl Core {
         }
         if let Some(t) = &mut self.tap {
             t.push(TapEvent::ExExec {
-                slot,
+                slot: slot as u8,
                 instr: entry.instr,
                 pc: entry.pc,
                 ops,

@@ -437,16 +437,18 @@ impl Bus {
 
     /// Turns the grant-stream tap on or off. While on, every granted
     /// transaction is appended to an internal log drained with
-    /// [`take_ops`](Bus::take_ops). Recording never changes behaviour.
+    /// [`append_ops`](Bus::append_ops). Recording never changes
+    /// behaviour.
     pub fn record_ops(&mut self, enable: bool) {
         self.ops = enable.then(Vec::new);
     }
 
-    /// Drains the recorded grant stream (empty when recording is off).
-    pub fn take_ops(&mut self) -> Vec<BusOp> {
-        match &mut self.ops {
-            Some(ops) => std::mem::take(ops),
-            None => Vec::new(),
+    /// Moves the recorded grant stream to the end of `out` (nothing
+    /// when recording is off). The log keeps its capacity, so draining
+    /// once per step allocates nothing in steady state.
+    pub fn append_ops(&mut self, out: &mut Vec<BusOp>) {
+        if let Some(ops) = &mut self.ops {
+            out.append(ops);
         }
     }
 

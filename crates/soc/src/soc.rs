@@ -357,23 +357,35 @@ impl Soc {
         self.injector.is_some() || self.seu.is_some()
     }
 
-    /// Architectural-trajectory equality for livelock detection: all
-    /// cores (see [`Core::loop_state_eq`]), their start delays, and the
-    /// bus with every attached memory (see `Bus::state_eq`). Excluded:
-    /// the absolute cycle count, statistics, the SEU log and the
-    /// observability layer. Callers must additionally rule out
-    /// cycle-driven behavior — a TDMA arbiter (grants depend on the
-    /// absolute cycle) and chaos planes (see
-    /// [`has_chaos`](Soc::has_chaos)) — before treating equal states as
-    /// proof of a loop.
+    /// Architectural-trajectory comparison for livelock detection,
+    /// *modulo* the architectural registers of core `free`: `None` when
+    /// anything else differs, otherwise `Some(mask)` of core `free`'s
+    /// differing registers (see [`Core::loop_state_diff`]). Compared:
+    /// all cores, their start delays, and the bus with every attached
+    /// memory (see `Bus::state_eq`). Excluded: the absolute cycle
+    /// count, statistics, the SEU log and the observability layer.
+    /// Callers must additionally rule out cycle-driven behavior — a
+    /// TDMA arbiter (grants depend on the absolute cycle) and chaos
+    /// planes (see [`has_chaos`](Soc::has_chaos)) — before treating
+    /// equal states as proof of a loop.
+    pub fn loop_state_diff(&self, other: &Soc, free: usize) -> Option<u32> {
+        if self.cores.len() != other.cores.len() {
+            return None;
+        }
+        let mut mask = 0;
+        for (i, ((a, da), (b, db))) in self.cores.iter().zip(&other.cores).enumerate() {
+            match a.loop_state_diff(b) {
+                Some(d) if da == db && (d == 0 || i == free) => mask |= d,
+                _ => return None,
+            }
+        }
+        self.bus.state_eq(&other.bus).then_some(mask)
+    }
+
+    /// Exact [`loop_state_diff`](Soc::loop_state_diff): every core's
+    /// registers included.
     pub fn loop_state_eq(&self, other: &Soc) -> bool {
-        self.cores.len() == other.cores.len()
-            && self
-                .cores
-                .iter()
-                .zip(&other.cores)
-                .all(|((a, da), (b, db))| da == db && a.loop_state_eq(b))
-            && self.bus.state_eq(&other.bus)
+        self.loop_state_diff(other, 0) == Some(0)
     }
 
     /// Runs until every core halts, a fatal trap occurs, the
