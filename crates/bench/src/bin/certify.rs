@@ -21,12 +21,14 @@
 //! that fails to be flagged hard-fails the binary (non-zero exit) — CI
 //! runs `certify --smoke`.
 //!
+//! Usage: `certify [--smoke] [seed]` (`smoke` also selects the smoke
+//! sweep; decimal seed, default 52807). Any other argument prints the
+//! usage and exits with status 2.
+//!
 //! Output: a per-scenario table on stdout, a `MetricsHub` summary
-//! (with the per-port bound column) for the saturated scenarios, a JSON
-//! report at `out/certify_report.json`, and telemetry totals merged
-//! into `BENCH_campaign.json` under `"certify"`.
+//! (with the per-port bound column) for the saturated scenarios, and a
+//! JSON report at `out/certify_report.json`.
 
-use sbst_bench::update_bench_campaign;
 use sbst_cpu::{CoreConfig, CoreKind};
 use sbst_mem::{ArbiterKind, InjectorProgram};
 use sbst_obs::{Json, PortBound};
@@ -92,12 +94,27 @@ fn routines() -> Vec<(&'static str, RoutineFactory)> {
     ]
 }
 
+/// Whether to run the smoke sweep, and the seed, from arguments in
+/// either order; `None` when they are malformed.
+fn parse(args: &[String]) -> Option<(bool, u64)> {
+    let mut smoke = false;
+    let mut seed = None;
+    for arg in args {
+        match arg.as_str() {
+            "--smoke" | "smoke" if !smoke => smoke = true,
+            _ if seed.is_none() => seed = Some(arg.parse().ok()?),
+            _ => return None,
+        }
+    }
+    Some((smoke, seed.unwrap_or(0xce47)))
+}
+
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke" || a == "smoke");
-    let seed = std::env::args()
-        .filter_map(|s| s.parse::<u64>().ok())
-        .next()
-        .unwrap_or(0xce47);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let Some((smoke, seed)) = parse(&args) else {
+        eprintln!("usage: certify [--smoke] [seed]");
+        std::process::exit(2);
+    };
 
     let arbiters = [ArbiterKind::RoundRobin, ArbiterKind::tdma()];
     let caches = [CacheCfg::TwoWay, CacheCfg::Direct];
@@ -283,15 +300,6 @@ fn main() {
     std::fs::write("out/certify_report.json", report.render_pretty(2))
         .expect("write out/certify_report.json");
     println!("wrote out/certify_report.json ({} scenarios)", results.len());
-
-    let certify = Json::Obj(vec![
-        ("scenarios".into(), Json::int(results.len() as u64)),
-        ("violations".into(), Json::int(violations as u64)),
-        ("signature_mismatches".into(), Json::int(mismatches as u64)),
-        ("fixed_priority_flagged".into(), Json::Bool(fp_flagged)),
-        ("seed".into(), Json::int(seed)),
-    ]);
-    update_bench_campaign(|doc| doc.set("certify", certify));
 
     assert!(fp_flagged, "fixed-priority low-priority ports must be flagged unbounded");
     assert_eq!(violations, 0, "observed grant wait exceeded a certified bound");

@@ -13,13 +13,14 @@
 //!
 //! Artifacts: `out/fleet_dashboard.jsonl` (one `MetricsHub::to_jsonl`
 //! line per lease event — keys `cycle`, `core`, `kind`, `args` — then
-//! one telemetry line) and a `fleet` key merged into
-//! `BENCH_campaign.json` with throughput and recovery statistics.
+//! one telemetry line) and `out/fleet_report.json` with throughput and
+//! recovery statistics.
 //!
-//! Modes (first CLI argument): `smoke` (CI), `quick`, `standard`
-//! (asserts fleet-over-serial speedup), `proc-hang` (tiny
+//! Modes (the only CLI argument): `smoke` (CI), `quick`, `standard`
+//! (the default; asserts fleet-over-serial speedup), `proc-hang` (tiny
 //! process-pool run whose hung child must be killed and stolen —
-//! exercised by the `fleet_process` integration test).
+//! exercised by the `fleet_process` integration test). Any other
+//! argument prints the usage and exits with status 2.
 //!
 //! `--worker <mode> <shard> <attempt> <action> <out>` is the child
 //! entry point of the process pool: it rebuilds the same deterministic
@@ -30,7 +31,6 @@ use std::path::Path;
 use std::process::Command;
 use std::time::{Duration, Instant};
 
-use sbst_bench::update_bench_campaign;
 use sbst_campaign::fleet::{
     assemble_ecu, execute_shard_standalone, run_fleet, run_fleet_process, run_fleet_serial,
     ChaosAction, EcuSpec, FleetConfig, FleetGrader, FleetPlan, FleetReport, ForcedFailure,
@@ -174,9 +174,16 @@ fn main() {
         run_worker(&args[1..]);
         return;
     }
-    let mode = args.first().cloned().unwrap_or_else(|| "standard".into());
+    let mode = match args.as_slice() {
+        [] => "standard",
+        [mode] if ["smoke", "quick", "standard", "proc-hang"].contains(&mode.as_str()) => mode,
+        _ => {
+            eprintln!("usage: fleet_campaign [smoke|quick|standard|proc-hang]");
+            std::process::exit(2);
+        }
+    };
 
-    let plan = build_plan(&mode);
+    let plan = build_plan(mode);
     println!(
         "fleet_campaign [{mode}]: {} ECU variants, {} faults, {} shards",
         plan.ecus.len(),
@@ -305,7 +312,7 @@ fn main() {
         checkpoint_every: 4,
         poll: Duration::from_millis(5),
     };
-    let proc_report = run_process_fleet(&plan, &proc_cfg, &mode);
+    let proc_report = run_process_fleet(&plan, &proc_cfg, mode);
     assert_report(&proc_report, &baseline, "processes");
     let pt = &proc_report.telemetry;
     assert!(pt.injected_panics >= 1, "forced child panic scheduled");
@@ -314,7 +321,7 @@ fn main() {
     println!("processes: {pt}");
 
     let fleet = Json::Obj(vec![
-        ("mode".into(), Json::Str(mode.clone())),
+        ("mode".into(), Json::Str(mode.into())),
         ("ecus".into(), Json::int(plan.ecus.len() as u64)),
         ("faults".into(), Json::int(plan.total_faults() as u64)),
         ("shards".into(), Json::int(plan.shard_count() as u64)),
@@ -325,7 +332,10 @@ fn main() {
         ("chaos".into(), t.to_json()),
         ("process_pool".into(), pt.to_json()),
     ]);
-    update_bench_campaign(|doc| doc.set("fleet", fleet));
+    // `write_dashboard` created `out/`.
+    std::fs::write("out/fleet_report.json", fleet.render_pretty(2))
+        .expect("write out/fleet_report.json");
+    println!("wrote out/fleet_report.json");
     println!("fleet_campaign [{mode}]: OK");
 }
 

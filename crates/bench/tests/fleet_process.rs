@@ -71,11 +71,10 @@ fn smoke_mode_terminates_cleanly_with_valid_artifacts() {
         "forced hang missing from telemetry"
     );
 
-    // The bench record carries the fleet throughput + recovery stats.
-    let bench =
-        std::fs::read_to_string(dir.join("BENCH_campaign.json")).expect("bench json written");
-    let doc = parse_json(&bench).expect("bench json parses");
-    let fleet = doc.get("fleet").expect("fleet key");
+    // The fleet report carries the throughput + recovery stats.
+    let report =
+        std::fs::read_to_string(dir.join("out/fleet_report.json")).expect("fleet report written");
+    let fleet = parse_json(&report).expect("fleet report parses");
     for key in ["speedup", "faults_per_sec", "chaos", "process_pool"] {
         assert!(fleet.get(key).is_some(), "fleet record missing {key:?}");
     }

@@ -123,8 +123,8 @@ pub struct ChaosReport {
     pub cells: Vec<ChaosCell>,
 }
 
-/// Sweep-level telemetry totals of a [`ChaosReport`] — the summary the
-/// benchmark harness merges into `BENCH_campaign.json`.
+/// Sweep-level telemetry totals of a [`ChaosReport`] — the summary
+/// `chaos_sweep` writes to `out/chaos_report.json`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChaosTelemetry {
     /// Sweep cells executed.

@@ -12,7 +12,8 @@ use crate::faultsim::run_campaign_collapsed;
 use crate::routines_for;
 
 /// How much work to spend on a sweep (tests use tiny presets, the
-/// benches larger ones; `full()` grades every fault).
+/// table binaries `quick()` by default and `standard()` on request;
+/// `full()` grades every fault).
 #[derive(Debug, Clone, Copy)]
 pub struct Effort {
     /// Grade at most this many faults per fault list (evenly sampled).
@@ -32,7 +33,7 @@ impl Effort {
         Effort { max_faults: 150, sweep_scenarios: 4, seeds: 2, threads: 0 }
     }
 
-    /// Benchmark preset.
+    /// Standard preset: the table binaries' `standard` mode (minutes).
     pub fn standard() -> Effort {
         Effort { max_faults: 800, sweep_scenarios: 9, seeds: 3, threads: 0 }
     }

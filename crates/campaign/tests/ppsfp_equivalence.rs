@@ -85,7 +85,11 @@ fn ppsfp_verdicts_match_warm_over_the_full_collapsed_forwarding_list() {
 
 /// The ride must actually carry most of the forwarding population —
 /// otherwise the tier silently degenerated into the serial path and the
-/// equivalence above proves nothing about the lane engine.
+/// equivalence above proves nothing about the lane engine. Every hang
+/// of this cache-wrapped list is the wrapper loop spinning with a
+/// drifting counter, so the loop decider must decide each one: the
+/// warm reference shares the tail driver, so verdict equality alone
+/// would not notice a decider that decided nothing.
 #[test]
 fn forwarding_rides_the_golden_tail_for_most_lanes() {
     let fx = forwarding_a();
@@ -103,11 +107,14 @@ fn forwarding_rides_the_golden_tail_for_most_lanes() {
         "fallback rate and count must agree"
     );
     assert!(s.pack_density > 0.0 && s.pack_density <= 1.0);
+    let hangs = fx.warm.iter().filter(|(_, v)| *v == Verdict::Hang).count();
+    assert_eq!(s.loop_short_circuits, hangs, "the loop decider must decide every hang");
 }
 
 /// Same gate on core kind C: 64-bit datapath, wider mux words, ALU64
 /// traffic through the forwarding network — the lane engine's width
-/// handling and 64-bit pairing rules are exercised for real.
+/// handling and 64-bit pairing rules are exercised for real. Its hangs
+/// are wrapper loops too, so the decider must decide every one.
 #[test]
 fn ppsfp_matches_warm_on_the_64_bit_core() {
     let faults = unit_fault_list(CoreKind::C, Unit::Forwarding);
@@ -115,6 +122,8 @@ fn ppsfp_matches_warm_on_the_64_bit_core() {
     let (warm, ppsfp, stats) = warm_and_ppsfp(CoreKind::C, Unit::Forwarding, &reps);
     assert_eq!(warm, ppsfp);
     assert!(stats.ridden_words > 0);
+    let hangs = warm.iter().filter(|(_, v)| *v == Verdict::Hang).count();
+    assert_eq!(stats.loop_short_circuits, hangs, "the loop decider must decide every hang");
 }
 
 /// And on core kind B (a different 32-bit netlist), over a sampled

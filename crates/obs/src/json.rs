@@ -2,16 +2,16 @@
 //!
 //! The workspace deliberately carries no external dependencies, so the
 //! observability layer brings its own JSON — the only codec in the
-//! workspace. It renders the Chrome traces and JSONL event logs,
-//! reads and extends `BENCH_campaign.json`, pins the golden fixtures,
-//! and carries campaign checkpoints and fleet shard results across
-//! disks and process boundaries. Objects preserve insertion order
-//! (rendering is deterministic). An unsigned integer literal parses to
-//! an exact [`Json::Int`], so 64-bit fingerprints and checksums survive
-//! a round trip; every other number is an `f64`. Parsing accepts
-//! exactly the JSON grammar — no comments, no trailing commas, no
-//! leading zeros — and rejects nesting deeper than [`MAX_DEPTH`], so
-//! hostile input costs an error, never the stack.
+//! workspace. It renders the Chrome traces, the JSONL event logs, the
+//! chaos, fleet and certify reports and the benchmark's result line,
+//! pins the golden fixtures, and carries campaign checkpoints and fleet
+//! shard results across disks and process boundaries. Objects preserve
+//! insertion order (rendering is deterministic). An unsigned integer
+//! literal parses to an exact [`Json::Int`], so 64-bit fingerprints and
+//! checksums survive a round trip; every other number is an `f64`.
+//! Parsing accepts exactly the JSON grammar — no comments, no trailing
+//! commas, no leading zeros — and rejects nesting deeper than
+//! [`MAX_DEPTH`], so hostile input costs an error, never the stack.
 
 /// A JSON value. Objects are ordered key/value lists (insertion order is
 /// preserved through a parse/render round trip).
