@@ -4,12 +4,12 @@
 //! Usage: `ablations [quick|standard]`
 
 use sbst_campaign::ablation::{ablate, render_ablation};
-use sbst_campaign::tables::Effort;
+use sbst_campaign::tables::{cli_mode, Effort};
 use sbst_cpu::CoreKind;
 
 fn main() {
-    let effort = match std::env::args().nth(1).as_deref() {
-        Some("standard") => Effort::standard(),
+    let effort = match cli_mode(&["quick", "standard"]) {
+        "standard" => Effort::standard(),
         _ => Effort { seeds: 4, ..Effort::quick() },
     };
     let rows = ablate(CoreKind::A, &effort);

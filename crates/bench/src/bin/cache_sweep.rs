@@ -5,7 +5,7 @@
 //!
 //! Usage: `cache_sweep [quick|standard]`
 
-use sbst_campaign::tables::Effort;
+use sbst_campaign::tables::{cli_mode, Effort};
 use sbst_campaign::{
     routines_for, run_campaign_detailed, ExecStyle, Experiment, ExperimentConfig,
 };
@@ -15,8 +15,8 @@ use sbst_mem::{CacheConfig, WritePolicy};
 use sbst_soc::Scenario;
 
 fn main() {
-    let effort = match std::env::args().nth(1).as_deref() {
-        Some("standard") => Effort::standard(),
+    let effort = match cli_mode(&["quick", "standard"]) {
+        "standard" => Effort::standard(),
         _ => Effort::quick(),
     };
     let kind = CoreKind::A;

@@ -3,7 +3,7 @@
 //!
 //! Usage: `coverage_holes [quick|standard]`
 
-use sbst_campaign::tables::Effort;
+use sbst_campaign::tables::{cli_mode, Effort};
 use sbst_campaign::{routines_for, run_campaign_detailed, ExecStyle, Experiment,
                     summarize_by_category};
 use sbst_cpu::{unit_fault_list, CoreKind};
@@ -11,8 +11,8 @@ use sbst_fault::Unit;
 use sbst_soc::Scenario;
 
 fn main() {
-    let effort = match std::env::args().nth(1).as_deref() {
-        Some("standard") => Effort::standard(),
+    let effort = match cli_mode(&["quick", "standard"]) {
+        "standard" => Effort::standard(),
         _ => Effort::quick(),
     };
     for unit in [Unit::Forwarding, Unit::Hdcu, Unit::Icu] {

@@ -6,15 +6,15 @@
 //!
 //! Usage: `delay_faults [quick|standard]`
 
-use sbst_campaign::tables::Effort;
+use sbst_campaign::tables::{cli_mode, Effort};
 use sbst_campaign::{routines_for, run_campaign_detailed, ExecStyle, Experiment};
 use sbst_cpu::{delay_fault_list, CoreKind};
 use sbst_fault::Unit;
 use sbst_soc::Scenario;
 
 fn main() {
-    let effort = match std::env::args().nth(1).as_deref() {
-        Some("standard") => Effort::standard(),
+    let effort = match cli_mode(&["quick", "standard"]) {
+        "standard" => Effort::standard(),
         _ => Effort::quick(),
     };
     println!("DELAY-FAULT EXTENSION — FORWARDING DATAPATH (paper §V outlook)");

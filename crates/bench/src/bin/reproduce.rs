@@ -6,15 +6,15 @@
 
 use sbst_campaign::ablation::{ablate, render_ablation};
 use sbst_campaign::tables::{
-    render_table1, render_table2, render_table3, render_table4, table1, table2, table3, table4,
-    Effort,
+    cli_mode, render_table1, render_table2, render_table3, render_table4, table1, table2, table3,
+    table4, Effort,
 };
 use sbst_cpu::CoreKind;
 
 fn main() {
-    let effort = match std::env::args().nth(1).as_deref() {
-        Some("full") => Effort::full(),
-        Some("standard") => Effort::standard(),
+    let effort = match cli_mode(&["quick", "standard", "full"]) {
+        "full" => Effort::full(),
+        "standard" => Effort::standard(),
         _ => Effort::quick(),
     };
     println!("det-sbst reproduction run (faults/list budget: {})\n", effort.max_faults);

@@ -3,12 +3,12 @@
 //!
 //! Usage: `table1 [quick|standard|full]`
 
-use sbst_campaign::tables::{render_table1, table1, Effort};
+use sbst_campaign::tables::{cli_mode, render_table1, table1, Effort};
 
 fn main() {
-    let effort = match std::env::args().nth(1).as_deref() {
-        Some("full") => Effort::full(),
-        Some("standard") => Effort::standard(),
+    let effort = match cli_mode(&["quick", "standard", "full"]) {
+        "full" => Effort::full(),
+        "standard" => Effort::standard(),
         _ => Effort::quick(),
     };
     let rows = table1(&effort);

@@ -2,12 +2,12 @@
 //!
 //! Usage: `table3 [quick|standard|full]`
 
-use sbst_campaign::tables::{render_table3, table3, Effort};
+use sbst_campaign::tables::{cli_mode, render_table3, table3, Effort};
 
 fn main() {
-    let effort = match std::env::args().nth(1).as_deref() {
-        Some("full") => Effort::full(),
-        Some("standard") => Effort::standard(),
+    let effort = match cli_mode(&["quick", "standard", "full"]) {
+        "full" => Effort::full(),
+        "standard" => Effort::standard(),
         _ => Effort::quick(),
     };
     let rows = table3(&effort);

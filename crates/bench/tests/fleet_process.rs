@@ -10,12 +10,32 @@ use sbst_obs::{parse_json, Json};
 
 const BIN: &str = env!("CARGO_BIN_EXE_fleet_campaign");
 
-/// Fresh scratch cwd so artifact files never collide between tests.
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sbst-fleet-it-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create scratch cwd");
-    dir
+/// A fresh scratch cwd, so artifact files never collide between tests,
+/// removed when the test ends — pass or fail.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Scratch {
+        let dir =
+            std::env::temp_dir().join(format!("sbst-fleet-it-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch cwd");
+        Scratch(dir)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
 }
 
 fn run(mode: &str, cwd: &Path) -> String {
@@ -32,7 +52,7 @@ fn run(mode: &str, cwd: &Path) -> String {
 
 #[test]
 fn smoke_mode_terminates_cleanly_with_valid_artifacts() {
-    let dir = scratch("smoke");
+    let dir = Scratch::new("smoke");
     let stdout = run("smoke", &dir);
     assert!(stdout.contains("fleet_campaign [smoke]: OK"), "missing OK marker:\n{stdout}");
 
@@ -86,7 +106,7 @@ fn smoke_mode_terminates_cleanly_with_valid_artifacts() {
 
 #[test]
 fn process_pool_kills_and_steals_a_hung_child() {
-    let dir = scratch("proc-hang");
+    let dir = Scratch::new("proc-hang");
     let stdout = run("proc-hang", &dir);
     assert!(stdout.contains("fleet_campaign [proc-hang]: OK"), "missing OK marker:\n{stdout}");
     // The binary itself asserts steals >= 1 and bit-identity to the

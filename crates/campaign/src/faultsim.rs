@@ -251,45 +251,48 @@ pub(crate) fn grade_pending(
         return;
     }
     let next = AtomicUsize::new(0);
+    let work = || loop {
+        let t = next.fetch_add(1, Ordering::Relaxed);
+        let Some(&i) = todo.get(t) else { break };
+        let site = sites[i];
+        let verdict = match catch_unwind(AssertUnwindSafe(|| grader.grade(site))) {
+            Ok(v) => v,
+            Err(payload) => {
+                errors.lock().expect("error log").push(CampaignError {
+                    site: Some(site),
+                    index: i,
+                    message: panic_message(payload),
+                });
+                Verdict::SimError
+            }
+        };
+        let snapshot = {
+            let mut slots = pending.lock().expect("verdict slots");
+            slots[i] = Some(verdict);
+            slots.clone()
+        };
+        on_done(&snapshot);
+    };
+    // A panic that escaped the per-fault isolation (e.g. in the engine
+    // itself) is recorded instead of aborting the whole campaign.
+    let escaped = |payload| {
+        errors.lock().expect("error log").push(CampaignError {
+            site: None,
+            index: usize::MAX,
+            message: panic_message(payload),
+        });
+    };
+    // Worker 0 grades on the calling thread, so one worker spawns none
+    // and its simulations allocate in the caller's heap.
     let threads = resolve_threads(threads).min(todo.len());
     std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..threads {
-            let next = &next;
-            let todo = &todo;
-            handles.push(scope.spawn(move || loop {
-                let t = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&i) = todo.get(t) else { break };
-                let site = sites[i];
-                let verdict = match catch_unwind(AssertUnwindSafe(|| grader.grade(site))) {
-                    Ok(v) => v,
-                    Err(payload) => {
-                        errors.lock().expect("error log").push(CampaignError {
-                            site: Some(site),
-                            index: i,
-                            message: panic_message(payload),
-                        });
-                        Verdict::SimError
-                    }
-                };
-                let snapshot = {
-                    let mut slots = pending.lock().expect("verdict slots");
-                    slots[i] = Some(verdict);
-                    slots.clone()
-                };
-                on_done(&snapshot);
-            }));
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(work)).collect();
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(work)) {
+            escaped(payload);
         }
         for h in handles {
             if let Err(payload) = h.join() {
-                // A panic that escaped the per-fault isolation (e.g. in
-                // the engine itself): record it instead of aborting the
-                // whole campaign.
-                errors.lock().expect("error log").push(CampaignError {
-                    site: None,
-                    index: usize::MAX,
-                    message: panic_message(payload),
-                });
+                escaped(payload);
             }
         }
     });

@@ -33,19 +33,32 @@ use sbst_stl::WrapError;
 use crate::checkpoint::{fnv, Checkpoint};
 use crate::experiment::{Experiment, Observation, Snapshot};
 use crate::faultsim::CampaignResult;
+use crate::ppsfp::grade_ppsfp;
 
 use super::chaos::{ChaosAction, WorkerChaos};
 use super::lease::{FailOutcome, FailureKind, Lease, LeasePolicy, LeaseTable, ShardFate};
 use super::shard::{EcuSpec, FleetPlan, Shard};
 
-/// Grades one fault of one ECU variant — the seam the fleet engine
-/// runs behind. The production implementation is
-/// [`ExperimentFleetGrader`]; the chaos property tests substitute pure
-/// synthetic graders so fifty storms finish in seconds.
+/// Grades faults of one ECU variant — the seam the fleet engine runs
+/// behind. The production implementation is [`ExperimentFleetGrader`];
+/// the chaos property tests substitute pure synthetic graders so fifty
+/// storms finish in seconds.
 pub trait FleetGrader: Sync {
     /// Grades `site` on ECU variant `ecu` (`spec` is
     /// `plan.ecus[ecu]`).
     fn grade(&self, ecu: usize, spec: &EcuSpec, site: sbst_fault::FaultSite) -> Verdict;
+
+    /// Grades `sites` on ECU variant `ecu`, one verdict per site in
+    /// order: a shard attempt's pending faults, graded as one batch.
+    /// By default, [`grade`](FleetGrader::grade) once per site.
+    fn grade_batch(
+        &self,
+        ecu: usize,
+        spec: &EcuSpec,
+        sites: &[sbst_fault::FaultSite],
+    ) -> Vec<Verdict> {
+        sites.iter().map(|&site| self.grade(ecu, spec, site)).collect()
+    }
 }
 
 /// Builds the full simulation stack for one ECU variant: the assembled
@@ -63,7 +76,9 @@ pub fn assemble_ecu(spec: &EcuSpec) -> Result<(Experiment, Observation, Snapshot
 }
 
 /// The production fleet grader: one warm-start simulation stack per
-/// ECU variant, every fault graded through the snapshot fast path.
+/// ECU variant. A single fault is graded through the snapshot fast
+/// path; a shard's batch rides the bit-parallel tier on the stored
+/// snapshot, its fallen-off lanes graded on that same fast path.
 pub struct ExperimentFleetGrader {
     cells: Vec<(Experiment, Observation, Snapshot)>,
 }
@@ -85,6 +100,24 @@ impl FleetGrader for ExperimentFleetGrader {
     fn grade(&self, ecu: usize, _spec: &EcuSpec, site: sbst_fault::FaultSite) -> Verdict {
         let (experiment, golden, snapshot) = &self.cells[ecu];
         experiment.test_fault_warm(golden, snapshot, site)
+    }
+
+    /// The batch on one thread (the fleet's workers are the
+    /// parallelism). A simulation that crashed panics, as
+    /// [`grade`](FleetGrader::grade) would, so the lease fails instead
+    /// of merging a `SimError`.
+    fn grade_batch(
+        &self,
+        ecu: usize,
+        _spec: &EcuSpec,
+        sites: &[sbst_fault::FaultSite],
+    ) -> Vec<Verdict> {
+        let (experiment, golden, snapshot) = &self.cells[ecu];
+        let (_, records, _, errors) = grade_ppsfp(experiment, golden, snapshot, sites, 1);
+        if let Some(error) = errors.first() {
+            panic!("fleet grader: {error}");
+        }
+        records.into_iter().map(|(_, verdict)| verdict).collect()
     }
 }
 
@@ -174,8 +207,10 @@ pub fn shard_checkpoint_path(dir: &Path, shard: usize) -> PathBuf {
 
 /// Executes one attempt of one shard: restores its checkpoint (when
 /// enabled and valid for this fault slice + ECU), grades the remaining
-/// faults, persists progress, applies the chaos action rolled for
-/// `(shard, attempt)`, and seals the result.
+/// faults in batches of `checkpoint_every` — each batch walked in shard
+/// order (cancellation check, the chaos action rolled for
+/// `(shard, attempt)` at its position, verdict), then persisted — and
+/// seals the result.
 ///
 /// Panics when the chaos action is an injected panic — callers run it
 /// under `catch_unwind` (thread pool) or in a separate process.
@@ -228,36 +263,50 @@ pub(crate) fn execute_shard(
     }
     let resumed = checkpoint.completed() as u32;
 
+    // Pending faults are graded in batches of `every`, each followed by
+    // a checkpoint save: a cancelled or killed attempt loses at most one
+    // batch, and a shard slower than its lease still gains ground across
+    // attempts.
     let every = checkpoint_every.max(1);
+    let pending: Vec<usize> =
+        (0..sites.len()).filter(|&i| checkpoint.verdicts[i].is_none()).collect();
     let mut graded = 0usize;
-    for (i, &site) in sites.iter().enumerate() {
+    for batch in pending.chunks(every) {
         if cancel.load(Ordering::Acquire) {
             return AttemptOutcome::Cancelled;
         }
-        if checkpoint.verdicts[i].is_some() {
-            continue;
-        }
-        match action {
-            ChaosAction::Panic { after } if graded == after => {
-                tally.panics.fetch_add(1, Ordering::Relaxed);
-                panic!("chaos: injected worker panic (shard {}, attempt {attempt})", shard.index);
+        let batch_sites: Vec<sbst_fault::FaultSite> = batch.iter().map(|&i| sites[i]).collect();
+        let verdicts = grader.grade_batch(shard.ecu, spec, &batch_sites);
+        assert_eq!(verdicts.len(), batch.len(), "one verdict per pending fault");
+        for (&i, verdict) in batch.iter().zip(verdicts) {
+            if cancel.load(Ordering::Acquire) {
+                return AttemptOutcome::Cancelled;
             }
-            ChaosAction::Hang { after } if graded == after => {
-                tally.hangs.fetch_add(1, Ordering::Relaxed);
-                // Hang until the lease is stolen and the monitor
-                // cancels us (process workers are killed instead).
-                loop {
-                    if cancel.load(Ordering::Acquire) {
-                        return AttemptOutcome::Cancelled;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
+            match action {
+                ChaosAction::Panic { after } if graded == after => {
+                    tally.panics.fetch_add(1, Ordering::Relaxed);
+                    panic!(
+                        "chaos: injected worker panic (shard {}, attempt {attempt})",
+                        shard.index
+                    );
                 }
+                ChaosAction::Hang { after } if graded == after => {
+                    tally.hangs.fetch_add(1, Ordering::Relaxed);
+                    // Hang until the lease is stolen and the monitor
+                    // cancels us (process workers are killed instead).
+                    loop {
+                        if cancel.load(Ordering::Acquire) {
+                            return AttemptOutcome::Cancelled;
+                        }
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                _ => {}
             }
-            _ => {}
+            checkpoint.verdicts[i] = Some(verdict);
+            graded += 1;
+            tally.faults_graded.fetch_add(1, Ordering::Relaxed);
         }
-        checkpoint.verdicts[i] = Some(grader.grade(shard.ecu, spec, site));
-        graded += 1;
-        tally.faults_graded.fetch_add(1, Ordering::Relaxed);
         if let Some(path) = ckpt_path.as_deref() {
             if graded.is_multiple_of(every) {
                 // Best-effort: a failed write must not fail the shard.
@@ -297,7 +346,9 @@ pub struct FleetConfig {
     /// Per-shard checkpoint directory (`None` disables checkpointing).
     pub checkpoint_dir: Option<PathBuf>,
     /// Persist a shard's checkpoint every this many newly graded
-    /// faults (and once at shard completion).
+    /// faults (and once at shard completion). A shard attempt grades
+    /// its pending faults in batches of this size, so it is also the
+    /// most work a cancelled or crashed attempt throws away.
     pub checkpoint_every: usize,
     /// Monitor poll interval (lease expiry granularity).
     pub poll: Duration,

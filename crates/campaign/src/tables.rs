@@ -55,6 +55,34 @@ impl Effort {
     }
 }
 
+/// A table binary's mode from its arguments: none is `quick`, else
+/// exactly one of `modes`. An unknown mode or a second argument is
+/// `None`.
+fn parse_mode<'m>(args: &[String], modes: &[&'m str]) -> Option<&'m str> {
+    match args {
+        [] => modes.iter().copied().find(|&m| m == "quick"),
+        [arg] => modes.iter().copied().find(|m| m == arg),
+        _ => None,
+    }
+}
+
+/// Reads a table binary's one optional argument, its mode, from this
+/// process's command line: none is `quick`, else exactly one of
+/// `modes`. On an unknown mode or a second argument it prints the usage
+/// and exits with status 2, before any sweep runs.
+pub fn cli_mode(modes: &[&'static str]) -> &'static str {
+    let mut args = std::env::args();
+    let bin = args.next().unwrap_or_default();
+    let args: Vec<String> = args.collect();
+    parse_mode(&args, modes).unwrap_or_else(|| {
+        let name = std::path::Path::new(&bin).file_name().map_or(bin.clone(), |n| {
+            n.to_string_lossy().into_owned()
+        });
+        eprintln!("usage: {name} [{}]", modes.join("|"));
+        std::process::exit(2)
+    })
+}
+
 // ---------------------------------------------------------------------
 // Table I
 // ---------------------------------------------------------------------
@@ -384,4 +412,20 @@ pub fn render_table4(rows: &[Table4Row]) -> String {
         ));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_mode_is_one_of_the_binarys_modes_or_nothing() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let modes = ["quick", "standard", "full"];
+        assert_eq!(parse_mode(&args(&[]), &modes), Some("quick"));
+        assert_eq!(parse_mode(&args(&["full"]), &modes), Some("full"));
+        assert_eq!(parse_mode(&args(&["full"]), &modes[..2]), None, "not this binary's mode");
+        assert_eq!(parse_mode(&args(&["standrad"]), &modes), None);
+        assert_eq!(parse_mode(&args(&["quick", "quick"]), &modes), None, "a surplus argument");
+    }
 }

@@ -338,7 +338,9 @@ fn drain(
 /// with no difference left.
 fn replay(tape: &Tape, start: &Soc, end: &Soc, plane: FaultPlane, budget: u64) -> bool {
     let (from, to) = (start.core(0).regs(), end.core(0).regs());
-    let mut lane = Lane::new(0, plane.query_unit(Unit::Forwarding), &tape.delay_seed);
+    // The tape is the faulty run: only a forwarding fault re-evaluates
+    // its mux, and a control unit's decisions are already on it.
+    let mut lane = Lane::new(0, plane.query_unit(Unit::Forwarding), tape);
     lane.rebase(from, to);
     let mut union = HashMap::new();
     let mut cycle = end.cycle();
@@ -346,11 +348,11 @@ fn replay(tape: &Tape, start: &Soc, end: &Soc, plane: FaultPlane, budget: u64) -
         if lane.is_clean(&tape.delay_seed) {
             return true;
         }
-        for (events, ops) in tape.cycles() {
+        for step in tape.cycles() {
             if cycle >= budget {
                 return true;
             }
-            if lane_step(&mut lane, events, ops, tape, &mut union, 1).is_err() {
+            if lane_step(&mut lane, step, &mut union, 1).is_err() {
                 return false;
             }
             cycle += 1;

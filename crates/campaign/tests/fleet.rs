@@ -7,6 +7,8 @@
 //! run on every completed shard. Asserted over 50 independent chaos
 //! storms plus deterministic kill-and-resume and quarantine scenarios.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use sbst_campaign::fleet::{
@@ -236,6 +238,70 @@ fn killed_worker_resumes_from_checkpoint_with_identical_verdicts() {
     }
 }
 
+/// [`HashGrader`] in logged batches that crashes the first time it is
+/// handed `poison` of ECU 0: a grader dying in the middle of a shard,
+/// not at a chaos position.
+struct PoisonedBatchGrader {
+    poison: FaultSite,
+    tripped: AtomicBool,
+    batches: Mutex<Vec<usize>>,
+}
+
+impl FleetGrader for PoisonedBatchGrader {
+    fn grade(&self, ecu: usize, spec: &EcuSpec, site: FaultSite) -> Verdict {
+        HashGrader.grade(ecu, spec, site)
+    }
+
+    fn grade_batch(&self, ecu: usize, spec: &EcuSpec, sites: &[FaultSite]) -> Vec<Verdict> {
+        self.batches.lock().expect("batch log").push(sites.len());
+        let poisoned = ecu == 0 && sites.contains(&self.poison);
+        if poisoned && !self.tripped.swap(true, Ordering::SeqCst) {
+            panic!("grader crashed mid-shard");
+        }
+        sites.iter().map(|&site| self.grade(ecu, spec, site)).collect()
+    }
+}
+
+/// A shard attempt grades its faults in batches of `checkpoint_every`
+/// and saves after each, so a crash inside the grader loses only the
+/// batch it hit: the retry restores exactly the batch before it.
+#[test]
+fn a_grader_crash_mid_shard_keeps_the_batches_before_it() {
+    let plan = plan();
+    let baseline = run_fleet_serial(&plan, &HashGrader);
+    let dir = std::env::temp_dir().join(format!("sbst-fleet-batches-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let victim = &plan.shards[0];
+    assert_eq!((victim.ecu, victim.len), (0, 7));
+    let grader = PoisonedBatchGrader {
+        // The sixth fault: in the second batch of four.
+        poison: plan.sites(victim)[5],
+        tripped: AtomicBool::new(false),
+        batches: Mutex::new(Vec::new()),
+    };
+    let cfg = FleetConfig {
+        checkpoint_dir: Some(dir.clone()),
+        checkpoint_every: 4,
+        // Generous: only the poisoned batch may fail an attempt.
+        policy: LeasePolicy { lease_timeout: Duration::from_secs(60), ..LeasePolicy::fast(3) },
+        ..FleetConfig::new(2, 3)
+    };
+    let report = run_fleet(&plan, &grader, &cfg);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_invariants(&report, &baseline, 3);
+    assert!(report.is_complete());
+    assert_eq!(report.telemetry.counters.retries, 1, "only the poisoned attempt failed");
+    assert_eq!(report.telemetry.faults_restored, 4, "the retry restored the first batch");
+    assert!(
+        matches!(report.fates[0], ShardFate::Completed { attempts: 2, resumed_faults: 4, .. }),
+        "victim shard fate {:?}",
+        report.fates[0]
+    );
+    let batches = grader.batches.into_inner().expect("batch log");
+    assert!(batches.iter().all(|&n| (1..=4).contains(&n)), "batch sizes {batches:?}");
+}
+
 /// A checkpoint written for the wrong ECU configuration is rejected on
 /// load (counted, discarded) and the shard is re-graded from scratch —
 /// verdicts still match the baseline.
@@ -335,19 +401,25 @@ fn persistent_failure_quarantines_only_the_sick_shard() {
     assert_eq!(report.telemetry.counters.quarantined, 1);
 }
 
-/// The fleet service against the real simulator: a small heterogeneous
-/// population grading genuine ICU faults through the warm-start
-/// experiment grader, fleet run equal to serial run, everything
-/// completed.
+/// The fleet service against the real simulator: small heterogeneous
+/// populations grading genuine ICU and HDCU faults through the
+/// experiment grader, fleet run (batched through the bit-parallel tier)
+/// equal to serial run (warm, fault by fault), everything completed.
 #[test]
 fn real_experiment_fleet_matches_its_serial_run() {
     use sbst_campaign::fleet::ExperimentFleetGrader;
     use sbst_cpu::unit_fault_list;
 
-    let ecus = EcuSpec::population(Unit::Icu);
+    // The ICU population and the HDCU one minus ecu-b, whose 4 KiB I$
+    // cannot hold the exhaustive HDCU routine: each shard's batch rides
+    // the bit-parallel tier, the serial reference grades fault by fault.
+    let mut ecus = EcuSpec::population(Unit::Icu);
+    ecus.extend(
+        EcuSpec::population(Unit::Hdcu).into_iter().filter(|e| !e.name.starts_with("ecu-b")),
+    );
     let faults: Vec<FaultList> = ecus
         .iter()
-        .map(|e| unit_fault_list(e.config.kind, Unit::Icu).sample(37))
+        .map(|e| unit_fault_list(e.config.kind, e.unit).sample(37))
         .collect();
     assert!(faults.iter().all(|f| f.len() >= 4), "sampled lists stay non-trivial");
     let plan = FleetPlan::build(ecus, faults, 3);

@@ -1,10 +1,9 @@
 //! The bit-parallel tier's correctness gate: PPSFP grading (packed
 //! fault words riding one tapped golden tail, with serial fallback for
-//! architecturally divergent lanes and the livelock short-circuit in
-//! that fallback) must produce per-fault verdicts identical to the
-//! serial warm path — over *full collapsed fault lists*, including the
-//! HDCU/ICU populations that fall back wholesale, and over randomly
-//! sampled mixed-unit lists.
+//! lanes that diverge in architecture or timing and the livelock
+//! short-circuit in that fallback) must produce per-fault verdicts
+//! identical to the serial warm path — over *full collapsed fault
+//! lists* of every unit, and over randomly sampled sublists.
 
 use std::sync::OnceLock;
 
@@ -58,8 +57,8 @@ struct Fixture {
 }
 
 /// The headline fixture: the full collapsed forwarding-unit universe on
-/// core kind A (the largest population and the only unit the ride
-/// accelerates), shared between the equality and statistics tests.
+/// core kind A (the largest population), shared between the equality
+/// and statistics tests.
 fn forwarding_a() -> &'static Fixture {
     static FX: OnceLock<Fixture> = OnceLock::new();
     FX.get_or_init(|| {
@@ -135,38 +134,66 @@ fn ppsfp_matches_warm_on_core_kind_b() {
     assert_eq!(warm, ppsfp);
 }
 
-/// HDCU faults perturb stall timing — the ride cannot carry them, so
-/// the whole population is graded by the serial fallback (with the
-/// livelock short-circuit active: this is the hang-heavy list) and the
-/// verdicts must still be bit-identical.
-#[test]
-fn hdcu_words_fall_back_wholesale_with_identical_verdicts() {
-    let faults = unit_fault_list(CoreKind::A, Unit::Hdcu);
+/// The full collapsed list of a control unit on one core kind: warm ==
+/// PPSFP with no crash, every word ridden, and a fallback rate below
+/// `ceiling`. The ceiling is the check that the lanes carry what they
+/// should: on each list most faults never differ from the golden run in
+/// timing, measured by stepping every fault beside it (HDCU: 237 of 286
+/// on core A, 237 of 288 on B, 288 of 342 on C; ICU: 53–55 %), so a
+/// rate near 1 means lanes fell off on differences they can carry.
+fn control_unit_rides(kind: CoreKind, unit: Unit, ceiling: f64) {
+    let faults = unit_fault_list(kind, unit);
     let reps = collapse(&faults).representatives().clone();
-    let (warm, ppsfp, stats) = warm_and_ppsfp(CoreKind::A, Unit::Hdcu, &reps);
-    assert_eq!(warm, ppsfp);
-    assert_eq!(stats.ridden_words, 0, "HDCU words must not ride");
-    assert_eq!(stats.packed_faults, 0);
-    assert_eq!(stats.fallback_faults, reps.len(), "every fault graded serially");
-    assert_eq!(stats.fallback_rate, 1.0);
+    let (warm, ppsfp, stats) = warm_and_ppsfp(kind, unit, &reps);
+    assert_eq!(warm, ppsfp, "{unit:?} on core {kind:?}");
+    assert_eq!(stats.ridden_words, stats.words, "every {unit:?} word rides");
+    assert_eq!(stats.packed_faults, reps.len());
+    assert!(
+        stats.fallback_rate < ceiling,
+        "{unit:?} on core {kind:?}: fallback rate {:.3} — lanes fell off on data differences",
+        stats.fallback_rate
+    );
 }
 
-/// Same forced-fallback gate over the ICU list (trap recognition is
-/// architectural by definition).
+/// HDCU lanes carry their own faulted HDCU: a stall or split decision
+/// unlike the golden run's falls off, a different select code rides as
+/// a data difference.
 #[test]
-fn icu_words_fall_back_wholesale_with_identical_verdicts() {
-    let faults = unit_fault_list(CoreKind::A, Unit::Icu);
-    let reps = collapse(&faults).representatives().clone();
-    let (warm, ppsfp, stats) = warm_and_ppsfp(CoreKind::A, Unit::Icu, &reps);
-    assert_eq!(warm, ppsfp);
-    assert_eq!(stats.ridden_words, 0);
-    assert_eq!(stats.fallback_rate, 1.0);
+fn hdcu_lanes_ride_with_identical_verdicts_on_core_a() {
+    control_unit_rides(CoreKind::A, Unit::Hdcu, 0.3);
 }
 
-/// When every fault in a campaign falls back, the coverage arithmetic
-/// must still count each fault exactly once: total, the verdict mix and
-/// the fallback tally all agree with the list size, and the records
-/// come back in list order with no duplicates.
+#[test]
+fn hdcu_lanes_ride_with_identical_verdicts_on_core_b() {
+    control_unit_rides(CoreKind::B, Unit::Hdcu, 0.3);
+}
+
+#[test]
+fn hdcu_lanes_ride_with_identical_verdicts_on_core_c() {
+    control_unit_rides(CoreKind::C, Unit::Hdcu, 0.3);
+}
+
+/// ICU lanes carry their own ICU: a different window start, recognition
+/// or `mret` target falls off, a different ICU CSR read rides as data.
+#[test]
+fn icu_lanes_ride_with_identical_verdicts_on_core_a() {
+    control_unit_rides(CoreKind::A, Unit::Icu, 0.6);
+}
+
+#[test]
+fn icu_lanes_ride_with_identical_verdicts_on_core_b() {
+    control_unit_rides(CoreKind::B, Unit::Icu, 0.6);
+}
+
+#[test]
+fn icu_lanes_ride_with_identical_verdicts_on_core_c() {
+    control_unit_rides(CoreKind::C, Unit::Icu, 0.6);
+}
+
+/// On a list that mixes ridden and fallen-off lanes, the coverage
+/// arithmetic must still count each fault exactly once: total, the
+/// verdict mix and the fallback tally all agree with the list size, and
+/// the records come back in list order with no duplicates.
 #[test]
 fn all_fallback_campaign_counts_every_fault_exactly_once() {
     let exp = multicore_exp(CoreKind::A, Unit::Hdcu);
@@ -176,7 +203,13 @@ fn all_fallback_campaign_counts_every_fault_exactly_once() {
         run_campaign_ppsfp_detailed(&exp, &golden, &faults, 0);
     assert_eq!(result.total, faults.len());
     assert_eq!(records.len(), faults.len());
-    assert_eq!(stats.fallback_faults, faults.len());
+    assert_eq!(stats.packed_faults, faults.len());
+    assert!(
+        0 < stats.fallback_faults && stats.fallback_faults < faults.len(),
+        "the list mixes ridden and fallen-off lanes: {} of {} fell off",
+        stats.fallback_faults,
+        faults.len()
+    );
     assert_eq!(
         result.wrong_signature
             + result.test_fail
@@ -190,6 +223,8 @@ fn all_fallback_campaign_counts_every_fault_exactly_once() {
     for (rec, &site) in records.iter().zip(faults.sites()) {
         assert_eq!(rec.0, site, "records keep fault-list order");
     }
+    let (_, warm) = run_campaign_warm_detailed(&exp, &golden, &faults, 0);
+    assert_eq!(warm, records);
 }
 
 /// Packing edge cases at the campaign level: the empty list and the

@@ -169,8 +169,12 @@ pub struct StageView {
 /// the recorded inputs, re-evaluates the shared
 /// [`mux_eval`](crate::mux_eval) decomposition for its own faulted mux
 /// instance, and tracks where its machine state diverges from the
-/// fault-free run — without stepping a second SoC. Indices and select
-/// codes are bytes, so a recording of many cycles stays small.
+/// fault-free run — without stepping a second SoC. The control units'
+/// inputs and decisions are recorded too (HDCU routing and splits, ICU
+/// window starts, recognitions and `mret` targets), so a lane can carry
+/// its own faulted HDCU or ICU; whether the ICU's recognition timer ran
+/// in a step is [`Core::tap_icu_ticked`]. Indices and select codes are
+/// bytes, so a recording of many cycles stays small.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TapEvent {
     /// WB committed a retiring instruction to the register file
@@ -228,9 +232,53 @@ pub enum TapEvent {
         alu: u64,
         /// Fault-free data-memory operation (grader cross-check).
         mem: Option<MemOp>,
-        /// Cause latched by this instruction, if any.
-        raise: Option<Cause>,
+        /// Cause latched by this instruction, if any, and whether the
+        /// latch started a recognition window.
+        raise: Option<(Cause, bool)>,
     },
+    /// The HDCU routed the packet at EX entry (stalled or not).
+    Hazard {
+        /// What the comparators saw of the four pipeline registers
+        /// (indexed by the `PROD_*` constants).
+        producers: [ProducerView; 4],
+        /// Source register of every present consumer operand, per slot
+        /// and operand (`None`: empty slot or no such operand).
+        srcs: [[Option<(u8, bool)>; 2]; 2],
+        /// Per-consumer stall requests, bit `slot * 2 + operand`.
+        requests: u8,
+        /// The global stall line: the packet waited this cycle.
+        stalled: bool,
+    },
+    /// Issue decided whether to split a two-instruction packet.
+    Split {
+        /// The slot-0 instruction.
+        first: Instr,
+        /// The slot-1 instruction.
+        second: Instr,
+        /// Whether the second instruction waits a cycle.
+        split: bool,
+    },
+    /// The ICU recognised a trap: the EPC and imprecision depth it was
+    /// handed for capture.
+    Recognize {
+        /// Next unissued PC.
+        epc: u32,
+        /// Instructions issued past the interrupting one.
+        depth: u32,
+    },
+    /// `mret` left a trap handler.
+    Mret {
+        /// The EPC it returned to.
+        target: u32,
+    },
+}
+
+/// The event tap of one core (see [`Core::set_tap`]).
+#[derive(Debug, Clone, Default)]
+struct Tap {
+    events: Vec<TapEvent>,
+    /// The ICU's recognition timer ran in the last step.
+    icu_ticked: bool,
 }
 
 /// A dual-issue in-order pipelined core with private caches, TCMs,
@@ -262,9 +310,9 @@ pub struct Core {
     halting: bool,
     halted: bool,
     fatal_trap: bool,
-    /// Event tap buffer (`None` = tap disabled, the normal case). Pure
+    /// Event tap (`None` = tap disabled, the normal case). Pure
     /// observation: enabling it changes no simulated behavior.
-    tap: Option<Vec<TapEvent>>,
+    tap: Option<Tap>,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -308,16 +356,29 @@ impl Core {
     /// [`append_tap_events`](Core::append_tap_events) (typically once
     /// per step). Observation only — simulated behavior is unchanged.
     pub fn set_tap(&mut self, enable: bool) {
-        self.tap = enable.then(Vec::new);
+        self.tap = enable.then(Tap::default);
     }
 
     /// Moves the buffered tap events to the end of `out` (nothing when
     /// the tap is disabled). The tap keeps its buffer's capacity, so
     /// draining once per step allocates nothing in steady state.
     pub fn append_tap_events(&mut self, out: &mut Vec<TapEvent>) {
-        if let Some(buf) = &mut self.tap {
-            out.append(buf);
+        if let Some(tap) = &mut self.tap {
+            out.append(&mut tap.events);
         }
+    }
+
+    /// Whether the ICU's recognition timer ran in the last step of a
+    /// running core (it does not while a branch is pending or the core
+    /// is halting). Always `false` with the tap disabled.
+    pub fn tap_icu_ticked(&self) -> bool {
+        self.tap.as_ref().is_some_and(|t| t.icu_ticked)
+    }
+
+    /// The interrupt control unit (read-only: campaign lanes clone it to
+    /// replay a faulted copy).
+    pub fn icu(&self) -> &Icu {
+        &self.icu
     }
 
     /// The forwarding network (read-only: campaign lane graders seed
@@ -550,7 +611,9 @@ impl Core {
         for pipe in 0..2 {
             if let Some(e) = self.memwb[pipe].take() {
                 if let Some(t) = &mut self.tap {
-                    t.push(TapEvent::WbCommit { pipe: pipe as u8, dest: e.dest, value: e.value });
+                    let commit =
+                        TapEvent::WbCommit { pipe: pipe as u8, dest: e.dest, value: e.value };
+                    t.events.push(commit);
                 }
                 if let Some((d, is64)) = e.dest {
                     self.write_reg(d, is64, e.value);
@@ -588,7 +651,7 @@ impl Core {
                     let inputs = [e.alu, e.mem_data as u64, e.csr_val];
                     e.value = self.fwd.wb_value(pipe, &inputs, e.wb_sel, &self.plane);
                     if let Some(t) = &mut self.tap {
-                        t.push(TapEvent::WbMux {
+                        t.events.push(TapEvent::WbMux {
                             pipe: pipe as u8,
                             inputs,
                             sel: e.wb_sel as u8,
@@ -608,7 +671,11 @@ impl Core {
         }
 
         // ---- ICU recognition --------------------------------------------
-        if !self.branch_pending && !self.halting && self.icu.tick(&self.plane) {
+        let ticks = !self.branch_pending && !self.halting;
+        if let Some(t) = &mut self.tap {
+            t.icu_ticked = ticks;
+        }
+        if ticks && self.icu.tick(&self.plane) {
             if self.csr.trap_vec == 0 {
                 self.fatal_trap = true;
                 self.halted = true;
@@ -617,6 +684,9 @@ impl Core {
             let depth =
                 self.issue_seq.saturating_sub(self.raise_seq + 1).min(255) as u32;
             let epc = self.fetch.next_unissued_pc();
+            if let Some(t) = &mut self.tap {
+                t.events.push(TapEvent::Recognize { epc, depth });
+            }
             self.icu.recognize(epc, depth, &self.plane);
             self.fetch.redirect(self.csr.trap_vec);
         }
@@ -703,7 +773,17 @@ impl Core {
                 requests[slot * 2 + operand] = route.stall_request;
             }
         }
-        if self.hdcu.aggregate_stall(&requests, &self.plane) {
+        let stalled = self.hdcu.aggregate_stall(&requests, &self.plane);
+        if let Some(t) = &mut self.tap {
+            let srcs = |slot: usize| self.ex_in[slot].map_or([None; 2], |e| e.src);
+            t.events.push(TapEvent::Hazard {
+                producers,
+                srcs: [srcs(0), srcs(1)],
+                requests: requests.iter().rev().fold(0, |m, &r| m << 1 | u8::from(r)),
+                stalled,
+            });
+        }
+        if stalled {
             self.csr.haz_stalls += 1;
             return;
         }
@@ -729,7 +809,7 @@ impl Core {
                 }
                 ops[operand] = self.fwd.operand(slot, operand, &inputs, sel, &self.plane);
                 if let Some(t) = &mut self.tap {
-                    t.push(TapEvent::ExOperand {
+                    t.events.push(TapEvent::ExOperand {
                         slot: slot as u8,
                         operand: operand as u8,
                         rf_src: entry.src[operand],
@@ -875,27 +955,30 @@ impl Core {
                     }
                 },
                 Instr::Mret => {
-                    self.redirect(self.icu.epc());
+                    let target = self.icu.epc();
+                    if let Some(t) = &mut self.tap {
+                        t.events.push(TapEvent::Mret { target });
+                    }
+                    self.redirect(target);
                     self.icu.mret(&self.plane);
                     self.branch_pending = false;
                 }
             },
         }
+        let window = raise.is_some_and(|cause| self.icu.raise(cause, &self.plane));
+        if window {
+            self.raise_seq = entry.seq;
+        }
         if let Some(t) = &mut self.tap {
-            t.push(TapEvent::ExExec {
+            t.events.push(TapEvent::ExExec {
                 slot: slot as u8,
                 instr: entry.instr,
                 pc: entry.pc,
                 ops,
                 alu: out.alu,
                 mem: out.mem,
-                raise,
+                raise: raise.map(|cause| (cause, window)),
             });
-        }
-        if let Some(cause) = raise {
-            if self.icu.raise(cause, &self.plane) {
-                self.raise_seq = entry.seq;
-            }
         }
         out
     }
@@ -918,6 +1001,9 @@ impl Core {
             (Some(i0), Some(second)) => match second.instr {
                 Some(i1) => {
                     let split = self.hdcu.needs_split(&i0, &i1, &plane);
+                    if let Some(t) = &mut self.tap {
+                        t.events.push(TapEvent::Split { first: i0, second: i1, split });
+                    }
                     if split {
                         // A split delays the second instruction by one
                         // cycle: an HDCU-inserted stall, visible through
@@ -963,4 +1049,16 @@ impl Core {
 
 fn entry_dest(rd: Reg, is64: bool) -> Option<(u8, bool)> {
     (!rd.is_zero()).then_some((rd.index() as u8, is64))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A tape holds thousands of events per chunk: the control-unit
+    /// variants must not grow the event past the data-path ones.
+    #[test]
+    fn a_tap_event_is_56_bytes() {
+        assert_eq!(std::mem::size_of::<TapEvent>(), 56);
+    }
 }

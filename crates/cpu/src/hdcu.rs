@@ -46,7 +46,7 @@ pub fn overlap_cmp_id(slot: usize, operand: usize) -> u16 {
 pub const HDCU_CTRL: u16 = 100;
 
 /// What the EX-entry comparators see of one potential producer.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProducerView {
     /// Destination base register and whether it is a 64-bit pair.
     pub dest: Option<(u8, bool)>,
@@ -69,6 +69,18 @@ pub struct Route {
     /// This consumer requests a pipeline stall (load-use or 32/64-bit
     /// overlap interlock), after per-consumer stall-line faults.
     pub stall_request: bool,
+}
+
+/// The one HDCU decision a fault site can change (see [`Hdcu::reach`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reach {
+    /// The route of consumer `slot * 2 + operand`: its select code and
+    /// its stall request.
+    Consumer(usize),
+    /// The global stall line.
+    Global,
+    /// The issue-stage split decision.
+    Split,
 }
 
 /// The HDCU of one core.
@@ -246,6 +258,22 @@ impl Hdcu {
             }
         }
         false
+    }
+
+    /// Which decision a fault at HDCU `instance` on `element` can change:
+    /// a consumer's comparators, overlap detector, stall-request line or
+    /// select encoder reach only that consumer's route; lines 4 and 5
+    /// reach the global stall; the intra-packet comparators reach only
+    /// the split decision.
+    pub fn reach(instance: u16, element: Element) -> Reach {
+        match (instance, element) {
+            (HDCU_CTRL, Element::StallLine { line }) if line < 4 => Reach::Consumer(line as usize),
+            (HDCU_CTRL, Element::StallLine { .. }) => Reach::Global,
+            (HDCU_CTRL, Element::SelEncLine { mux, .. }) => Reach::Consumer(mux as usize),
+            (i, _) if i < split_cmp_id(0) => Reach::Consumer(i as usize / 4),
+            (i, _) if i < overlap_cmp_id(0, 0) => Reach::Split,
+            (i, _) => Reach::Consumer((i - overlap_cmp_id(0, 0)) as usize),
+        }
     }
 
     /// Enumerates every stuck-at fault site of the HDCU for a core kind.
@@ -515,6 +543,31 @@ mod tests {
         let c = Hdcu::fault_sites(CoreKind::C).len();
         assert!(c > a, "core C adds overlap detectors: {c} vs {a}");
         assert_ne!(a, b, "different physical design");
+    }
+
+    #[test]
+    fn every_site_reaches_the_decision_that_queries_it() {
+        let sites =
+            Hdcu::fault_sites(CoreKind::C).into_iter().chain(Hdcu::fault_sites(CoreKind::B));
+        for site in sites {
+            let reach = Hdcu::reach(site.instance, site.element);
+            match site.instance {
+                0..=15 => assert_eq!(
+                    reach,
+                    Reach::Consumer(site.instance as usize / 4),
+                    "{site:?}: cmp_id(slot, operand, _) / 4 is the consumer"
+                ),
+                16 | 17 => assert_eq!(reach, Reach::Split),
+                18..=21 => assert_eq!(reach, Reach::Consumer(site.instance as usize - 18)),
+                _ => assert!(matches!(reach, Reach::Consumer(0..=3) | Reach::Global), "{site:?}"),
+            }
+        }
+        let line = |line| Hdcu::reach(HDCU_CTRL, Element::StallLine { line });
+        assert_eq!(line(2), Reach::Consumer(2));
+        assert_eq!(line(4), Reach::Global);
+        assert_eq!(line(5), Reach::Global);
+        let select = Element::SelEncLine { mux: 3, bit: 1 };
+        assert_eq!(Hdcu::reach(HDCU_CTRL, select), Reach::Consumer(3));
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use forwarding::{
     WB_SRC_MEM,
 };
 pub use hdcu::{
-    overlap_cmp_id, split_cmp_id, Hdcu, ProducerView, Route, HDCU_CTRL, PROD_EXMEM_P0,
+    overlap_cmp_id, split_cmp_id, Hdcu, ProducerView, Reach, Route, HDCU_CTRL, PROD_EXMEM_P0,
     PROD_EXMEM_P1, PROD_MEMWB_P0, PROD_MEMWB_P1,
 };
 pub use icu::{Icu, RECOG_LAT};
