@@ -47,6 +47,7 @@ pub mod fleet;
 pub mod split;
 mod faultsim;
 mod ppsfp;
+mod proof;
 pub mod tables;
 mod tail;
 mod tape;

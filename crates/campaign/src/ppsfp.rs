@@ -26,8 +26,9 @@
 //!    what an armed core would compute;
 //! 3. the moment a lane's differences would change *architecture* or
 //!    *timing* — branch direction, a jump target, a memory address, a
-//!    trap cause, a CSR write operand, a stall or split decision, a
-//!    recognition window, a recognition or an `mret` target, a store
+//!    trap cause, the operand of a CSR write other than to a scratch
+//!    CSR, a stall or split decision, a recognition window, a
+//!    recognition or a word-aligned `mret` target, a store
 //!    outside private/tracked memory, or any bus access by another core
 //!    (or the instruction-fetch port) touching a differing word — the
 //!    lane *falls off* the ride and is re-graded by the serial warm
@@ -85,7 +86,9 @@ pub struct PpsfpStats {
     /// `fallback_faults` over the list size (0 for an empty list).
     pub fallback_rate: f64,
     /// Serial fallback runs whose hang the tail driver's loop decider
-    /// decided before the budget: exact loops, and periodic runs whose
+    /// decided before the budget: periods its affine-drift proof
+    /// carried (exact loops, and loops whose drifting registers and
+    /// counter reads never reach control), and periodic runs whose
     /// replayed period reached the budget or a difference-free boundary.
     pub loop_short_circuits: usize,
 }

@@ -18,18 +18,28 @@
 //! Past the golden end a Brent anchor watches for a repeated control
 //! trajectory: the core under test's fetch PC first, then
 //! [`Soc::loop_state_diff`] *modulo that core's registers*. A match at
-//! period P is a candidate, handled in two more periods of real
+//! period P is a candidate, handled in the following periods of real
 //! stepping:
 //!
-//! 1. **Probe.** The next period runs with every core's tap and the bus
-//!    recorder on, and is refused the moment it reads a counter CSR or
-//!    touches MMIO — state the comparison excludes or cannot see. The
-//!    events are checked and dropped, so a refusal allocates nothing.
-//!    If the period ends in the state it started in, the run is an
-//!    exact loop: a hang.
-//! 2. **Record.** Otherwise the period after it is recorded on a
-//!    [`Tape`] and must again end equal to its start modulo registers,
-//!    with the differing-register mask D.
+//! 1. **Proof.** The next period runs with every core's tap and the bus
+//!    recorder on. A counter-CSR read by another core, or MMIO by any
+//!    core, refuses the candidate at once. The core under test's events
+//!    feed an affine-drift abstract interpretation ([`Proof`]): each
+//!    register starts with its drift between the anchor and the match
+//!    as its slope, and a counter read is a drift source of the
+//!    counter's advance over that period. If no control use of the
+//!    period read a drifting value and the period is inductive (every
+//!    slope moved and ended as assumed, every counter advanced as
+//!    assumed), the run is a hang. If only some slopes disagreed, they
+//!    are dropped and the next period is proven, up to
+//!    [`PROOF_ROUNDS`] periods. An exact loop is the case where every
+//!    slope is 0.
+//! 2. **Record.** A control use of a drifting value is an *escape*.
+//!    After a counter read it refuses the candidate. Otherwise the
+//!    proof is dropped, the period is stepped out, and if it ends in its
+//!    start state modulo registers (the differing-register mask D), the
+//!    period after it is recorded on a [`Tape`] and must end the same
+//!    way.
 //!
 //! The recorded period is then replayed as one PPSFP [`Lane`] from the
 //! recorded end, seeded with the D differences and rebased onto the
@@ -44,12 +54,13 @@
 //! A fall-off abandons the replay, and stepping continues concretely
 //! from the recorded end, which the replay never changed.
 //!
-//! A candidate is refused when its period reads a counter CSR or touches
-//! MMIO, when an in-flight EX-input entry sources a register in D, or
-//! when P exceeds the golden tail (bounding the tape). The decider is
-//! off under TDMA arbitration and chaos planes, whose behaviour depends
-//! on the absolute cycle. A refusal or an abandoned replay turns it off
-//! for the rest of the tail.
+//! On the record path a candidate is also refused when its period reads
+//! a counter CSR, when an in-flight EX-input entry sources a register in
+//! D, or when P exceeds the golden tail (bounding the tape); the proof
+//! reads every operand from the tap and records nothing, so neither of
+//! the last two limits it. The decider is off under TDMA arbitration and
+//! chaos planes, whose behaviour depends on the absolute cycle. A
+//! refusal or an abandoned replay turns it off for the rest of the tail.
 //!
 //! [`Experiment::run_warm`]: crate::Experiment::run_warm
 
@@ -57,14 +68,20 @@ use std::collections::HashMap;
 
 use sbst_cpu::TapEvent;
 use sbst_fault::{FaultPlane, Unit};
-use sbst_isa::{Csr, Instr};
+use sbst_isa::Instr;
 use sbst_mem::{ArbiterKind, BusOp, Region};
 use sbst_soc::{RunOutcome, Soc};
 
+use crate::proof::{counter_index, Proof};
 use crate::tape::{lane_step, Lane, Tape};
 
 /// Initial Brent window (cycles an anchor is held before re-anchoring).
 const LOOP_WINDOW: u64 = 64;
+
+/// Most periods one candidate is proven over: a period whose slopes
+/// disagree with its hypothesis is proven again from the slopes that
+/// held.
+const PROOF_ROUNDS: usize = 4;
 
 /// What the loop decider did during one tail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,12 +89,13 @@ pub(crate) enum LoopCheck {
     /// Never decided: the run ended (or stayed within the golden run)
     /// while the decider was still searching or checking a candidate.
     Searching,
-    /// Decided a hang: an exact loop, or a replay that reached the
+    /// Decided a hang: a proven period, or a replay that reached the
     /// budget or a difference-free period boundary.
     Decided,
-    /// Refused a candidate (counter CSR or MMIO in the period, an
-    /// EX-input entry sourcing a drifting register, or a period longer
-    /// than the golden tail).
+    /// Refused a candidate (a counter read by another core, MMIO, a
+    /// proof escape after a counter read, or on the record path a
+    /// counter read, an EX-input entry sourcing a drifting register or a
+    /// period longer than the golden tail).
     Refused,
     /// A replay fell off before the budget; the run was stepped on.
     Abandoned,
@@ -160,10 +178,18 @@ impl Anchor {
 enum Phase {
     /// Brent search (no anchor until the run is past the golden end).
     Search(Option<Anchor>),
-    /// Stepping the candidate's next period with every tap on, counting
-    /// the core under test's events and the grants (the tape's size).
-    Probe { start: Anchor, period: u64, events: usize, ops: usize },
-    /// Recording the period after a clean probe.
+    /// Stepping the candidate's next period with every tap on: the
+    /// proof (`None` after an escape) runs over the core under test's
+    /// events, which are counted with the grants (a recording's size).
+    Prove {
+        start: Anchor,
+        period: u64,
+        events: usize,
+        ops: usize,
+        proof: Option<Box<Proof>>,
+        round: usize,
+    },
+    /// Recording the period after an escaped proof.
     Record { start: Anchor, period: u64, tape: Tape },
     Done(LoopCheck),
 }
@@ -217,18 +243,31 @@ impl Decider {
                     return false;
                 }
             }
-            Phase::Probe { start, period, events, ops } => {
-                let Some((e, o)) = drain(soc, None, &mut self.events, &mut self.ops) else {
+            Phase::Prove { start, period, events, ops, proof, .. } => {
+                let Some(drained) = drain(soc, None, &mut self.events, &mut self.ops) else {
                     return self.finish(soc, LoopCheck::Refused);
                 };
-                (*events, *ops) = (*events + e, *ops + o);
+                (*events, *ops) = (*events + drained.events, *ops + drained.ops);
+                // A counter read is a drift source while the proof holds;
+                // the record path cannot carry one.
+                if let Some(p) = proof {
+                    if p.step(&self.events[..drained.events]).is_err() {
+                        if p.read_counter() || drained.counter {
+                            return self.finish(soc, LoopCheck::Refused);
+                        }
+                        *proof = None;
+                    }
+                } else if drained.counter {
+                    return self.finish(soc, LoopCheck::Refused);
+                }
                 if start.age(soc) < *period {
                     return false;
                 }
             }
             Phase::Record { start, period, tape } => {
-                if drain(soc, Some(tape), &mut self.events, &mut self.ops).is_none() {
-                    return self.finish(soc, LoopCheck::Refused);
+                match drain(soc, Some(tape), &mut self.events, &mut self.ops) {
+                    Some(drained) if !drained.counter => {}
+                    _ => return self.finish(soc, LoopCheck::Refused),
                 }
                 if start.age(soc) < *period {
                     return false;
@@ -239,21 +278,50 @@ impl Decider {
             Phase::Search(Some(anchor)) => {
                 set_taps(soc, true);
                 let period = anchor.age(soc);
-                self.phase = Phase::Probe { start: Anchor::new(soc), period, events: 0, ops: 0 };
+                let armed = self.plane.query_unit(Unit::Forwarding).map(|s| s.instance);
+                let proof = Proof::new(anchor.soc.core(0), soc.core(0), armed);
+                self.phase = Phase::Prove {
+                    start: Anchor::new(soc),
+                    period,
+                    events: 0,
+                    ops: 0,
+                    proof: Some(proof),
+                    round: 1,
+                };
                 false
             }
-            Phase::Probe { start, period, events, ops } => match start.diff(soc) {
-                None => self.reanchor(soc),
-                Some(0) => self.finish(soc, LoopCheck::Decided),
-                Some(d) if period > self.max_period || soc.core(0).ex_in_sources() & d != 0 => {
-                    self.finish(soc, LoopCheck::Refused)
+            Phase::Prove { start, period, events, ops, proof, round } => {
+                let Some(d) = start.diff(soc) else { return self.reanchor(soc) };
+                if let Some(mut proof) = proof {
+                    let counted = proof.read_counter();
+                    if proof.conclude(start.soc.core(0), soc.core(0)) {
+                        return self.finish(soc, LoopCheck::Decided);
+                    }
+                    if round < PROOF_ROUNDS {
+                        self.phase = Phase::Prove {
+                            start: Anchor::new(soc),
+                            period,
+                            events: 0,
+                            ops: 0,
+                            proof: Some(proof),
+                            round: round + 1,
+                        };
+                        return false;
+                    }
+                    if counted {
+                        return self.finish(soc, LoopCheck::Refused);
+                    }
                 }
-                Some(_) => {
+                if d == 0 {
+                    self.finish(soc, LoopCheck::Decided)
+                } else if period > self.max_period || soc.core(0).ex_in_sources() & d != 0 {
+                    self.finish(soc, LoopCheck::Refused)
+                } else {
                     let tape = Tape::start(soc, (period as usize, events, ops));
                     self.phase = Phase::Record { start: Anchor::new(soc), period, tape };
                     false
                 }
-            },
+            }
             Phase::Record { start, tape, .. } => match start.diff(soc) {
                 None => self.reanchor(soc),
                 Some(d) if soc.core(0).ex_in_sources() & d != 0 => {
@@ -291,16 +359,26 @@ fn set_taps(soc: &mut Soc, on: bool) {
     soc.bus_mut().record_ops(on);
 }
 
+/// What one stepped cycle left on the taps.
+struct Drained {
+    /// The core under test's events, first in the drained buffer (none
+    /// when a tape took them).
+    events: usize,
+    /// Grants drained (none when a tape took them).
+    ops: usize,
+    /// The core under test read a performance counter.
+    counter: bool,
+}
+
 /// Drains the cycle just stepped from every tap not feeding `tape`.
-/// `None` when the cycle, on any core, read a performance counter or
-/// touched MMIO; otherwise the number of the core under test's events
-/// and of grants drained.
+/// `None` when another core read a performance counter or any core
+/// touched MMIO.
 fn drain(
     soc: &mut Soc,
     tape: Option<&Tape>,
     events: &mut Vec<TapEvent>,
     ops: &mut Vec<BusOp>,
-) -> Option<(usize, usize)> {
+) -> Option<Drained> {
     events.clear();
     ops.clear();
     let (taped, granted) = match tape {
@@ -311,25 +389,23 @@ fn drain(
             (&[][..], &[][..])
         }
     };
-    let counts = (events.len(), ops.len());
+    let own = events.len();
     for i in 1..soc.core_count() {
         soc.core_mut(i).append_tap_events(events);
     }
     let counter = |ev: &TapEvent| {
         matches!(
             ev,
-            TapEvent::ExExec {
-                instr: Some(Instr::CsrRead {
-                    csr: Csr::Cycles | Csr::Retired | Csr::IfStalls | Csr::MemStalls | Csr::HazStalls,
-                    ..
-                }),
-                ..
-            }
+            TapEvent::ExExec { instr: Some(Instr::CsrRead { csr, .. }), .. }
+                if counter_index(*csr).is_some()
         )
     };
     let mmio = |op: &BusOp| op.words().any(|a| Region::of(a) == Region::Mmio);
-    let tainted = events.iter().chain(taped).any(counter) || ops.iter().chain(granted).any(mmio);
-    (!tainted).then_some(counts)
+    let (cut, foreign) = events.split_at(own);
+    if foreign.iter().any(counter) || ops.iter().chain(granted).any(mmio) {
+        return None;
+    }
+    Some(Drained { events: own, ops: ops.len(), counter: cut.iter().chain(taped).any(counter) })
 }
 
 /// Replays `tape`, the period from `start` to `end` (equal modulo the
@@ -365,7 +441,7 @@ fn replay(tape: &Tape, start: &Soc, end: &Soc, plane: FaultPlane, budget: u64) -
 mod tests {
     use super::*;
     use sbst_cpu::{CoreConfig, CoreKind};
-    use sbst_isa::{Asm, Reg};
+    use sbst_isa::{Asm, Csr, Reg};
     use sbst_mem::{MMIO_BASE, SRAM_BASE, WDG_KICK};
     use sbst_soc::SocBuilder;
 
@@ -447,8 +523,65 @@ mod tests {
         assert_eq!(tail.soc.peek(SRAM_BASE + 0x100), 1800, "the accumulator's store");
     }
 
+    /// `r21` stays 1, so the loop never exits and its branch reads the
+    /// same value every period.
+    fn spinning(body: impl Fn(&mut Asm)) -> Asm {
+        counted(1, 0, body)
+    }
+
+    /// Runs `asm` through the tail driver and checks the hang against
+    /// the reference run from the same start.
+    fn hang_tail(asm: &Asm) -> Tail {
+        let start = soc(asm, ArbiterKind::RoundRobin);
+        let tail = run_tail(&start, FaultPlane::fault_free(), GOLDEN, BUDGET);
+        assert_eq!(tail.outcome, RunOutcome::Watchdog { cycles: BUDGET });
+        let mut reference = start.clone();
+        assert_eq!(reference.run(BUDGET), RunOutcome::Watchdog { cycles: BUDGET });
+        tail
+    }
+
+    #[test]
+    fn a_counter_read_that_never_reaches_control_is_proven_at_the_period() {
+        // r9 reads the cycle counter, +P per period, and the accumulator
+        // r1 sums it: r1's own slope grows each period, so the first
+        // proof drops it and the second holds.
+        let tail = hang_tail(&spinning(|a| {
+            a.csrr(Reg::R9, Csr::Cycles);
+            a.add(Reg::R1, Reg::R1, Reg::R9);
+        }));
+        assert_eq!(tail.check, LoopCheck::Decided);
+        assert!(tail.soc.cycle() < BUDGET / 10, "decided at cycle {}", tail.soc.cycle());
+    }
+
+    #[test]
+    fn a_branch_on_the_difference_of_two_counter_reads_is_proven() {
+        // Both reads advance by the same Δ per period: their difference
+        // is the same every period, and so is the branch.
+        let tail = hang_tail(&spinning(|a| {
+            a.csrr(Reg::R9, Csr::Cycles);
+            a.nops(3);
+            a.csrr(Reg::R11, Csr::Cycles);
+            a.sub(Reg::R12, Reg::R11, Reg::R9);
+            a.beq(Reg::R12, Reg::R0, "top");
+        }));
+        assert_eq!(tail.check, LoopCheck::Decided);
+        assert!(tail.soc.cycle() < BUDGET / 10, "decided at cycle {}", tail.soc.cycle());
+    }
+
+    #[test]
+    fn a_branch_on_a_counter_value_is_refused_and_runs_to_the_budget() {
+        let tail = hang_tail(&spinning(|a| {
+            a.csrr(Reg::R9, Csr::Cycles);
+            a.beq(Reg::R9, Reg::R0, "top");
+        }));
+        assert_eq!(tail.check, LoopCheck::Refused);
+        assert_eq!(tail.soc.cycle(), BUDGET);
+    }
+
     #[test]
     fn a_period_that_reads_a_counter_csr_is_refused_and_runs_to_the_budget() {
+        // The counter read is a drift source, but `r21`'s drift reaches
+        // `bne`: an escape after a counter read.
         let start = soc(&endless(|a| a.csrr(Reg::R9, Csr::Cycles)), ArbiterKind::RoundRobin);
         let tail = run_tail(&start, FaultPlane::fault_free(), GOLDEN, BUDGET);
         assert_eq!(tail.check, LoopCheck::Refused);

@@ -25,8 +25,11 @@
 //!   difference like any other;
 //! - an ICU lane replays raises, timer ticks, recognitions, ICU CSR
 //!   writes and `mret` on its own ICU. A different window start,
-//!   recognition or `mret` target falls off; a different ICU CSR read
-//!   is a difference on the WB mux's CSR input.
+//!   recognition or word-aligned `mret` target falls off; a different
+//!   ICU CSR read is a difference on the WB mux's CSR input.
+//!
+//! The scratch CSRs hold data only: a lane keeps their values as
+//! differences, set or cleared at `csrw` and read back at `csrr`.
 //!
 //! A lane that stays on is cycle-identical to the tape. A *quiet* lane,
 //! one with no data difference, only looks at the events its faulted
@@ -40,7 +43,7 @@ use sbst_cpu::{
     SRC_MEMWB_P1, SRC_RF, WB_SRC_ALU, WB_SRC_CSR, WB_SRC_MEM,
 };
 use sbst_fault::{Element, FaultPlane, FaultSite, Polarity, Unit};
-use sbst_isa::Instr;
+use sbst_isa::{Csr, Instr};
 use sbst_mem::{BusOp, Region, ReqKind};
 use sbst_soc::Soc;
 
@@ -278,6 +281,8 @@ pub(crate) struct Lane {
     fwd_wb: [Option<u64>; 2],
     /// Lane operand values of the current issue packet, if differing.
     ops: [[Option<u64>; 2]; 2],
+    /// Lane values of the scratch CSRs, if differing.
+    scratch: [Option<u32>; 2],
     /// Lane memory view: value at every word address where the lane's
     /// memory differs (or ever differed — entries are removed when a
     /// tape-equal store reconverges the word) from the tape.
@@ -331,6 +336,7 @@ impl Lane {
             fwd_ex: [None; 2],
             fwd_wb: [None; 2],
             ops: [[None; 2]; 2],
+            scratch: [None; 2],
             mem: HashMap::new(),
             swap_overlay: None,
             swap_applied: false,
@@ -357,6 +363,7 @@ impl Lane {
             && self.exmem == [None; 2]
             && self.memwb == [None; 2]
             && self.ops == [[None; 2]; 2]
+            && self.scratch == [None; 2]
             && self.mem.is_empty()
             && self.swap_overlay.flatten().is_none()
             && self.last_out == seed.get(self.instance as usize).copied().unwrap_or(0)
@@ -370,6 +377,7 @@ impl Lane {
             && self.exmem.iter().all(Option::is_none)
             && self.memwb.iter().all(Option::is_none)
             && self.ops.iter().flatten().all(Option::is_none)
+            && self.scratch == [None; 2]
             && self.mem.is_empty()
             && self.swap_overlay.is_none()
             && !self.swap_applied
@@ -583,12 +591,28 @@ fn lane_event(
             } else {
                 lane_exec(lane.kind, instr, ops, lane_ops, mem)?
             };
+            match instr {
+                Some(Instr::CsrWrite { csr, .. }) => {
+                    if let Some(i) = scratch_index(csr) {
+                        let (lv, gv) = (lane_ops[0] as u32, ops[0] as u32);
+                        lane.scratch[i] = (lv != gv).then_some(lv);
+                    }
+                }
+                Some(Instr::CsrRead { csr, .. }) => {
+                    if let Some(i) = scratch_index(csr) {
+                        latch.csr = lane.scratch[i].map(u64::from);
+                    }
+                }
+                _ => {}
+            }
             if let Ctl::Icu(u) = &mut lane.ctl {
                 // Operands reaching the ICU equal the tape's: a CSR
                 // write operand that differs fell off in `lane_exec`.
                 match instr {
                     Some(Instr::CsrRead { csr, .. }) => {
-                        latch.csr = u.icu.read(csr, &u.plane).map(u64::from);
+                        if let Some(v) = u.icu.read(csr, &u.plane) {
+                            latch.csr = Some(v.into());
+                        }
                     }
                     Some(Instr::CsrWrite { csr, .. }) if csr.is_writable() => {
                         u.icu.write(csr, ops[0] as u32);
@@ -626,7 +650,8 @@ fn lane_event(
         }
         TapEvent::Mret { target } => {
             if let Ctl::Icu(u) = &mut lane.ctl {
-                if u.icu.epc() != target {
+                // Fetch drops the low two bits of a redirect target.
+                if u.icu.epc() & !3 != target & !3 {
                     return Err(FallOff);
                 }
                 u.icu.mret(&u.plane);
@@ -782,13 +807,22 @@ fn lane_exec(
                 return Err(FallOff); // target divergence
             }
         }
-        Instr::CsrWrite { .. } => {
-            if la != ga {
+        Instr::CsrWrite { csr, .. } => {
+            if la != ga && scratch_index(csr).is_none() {
                 return Err(FallOff); // diffed operand into CSR/ICU state
             }
         }
     }
     Ok(latch)
+}
+
+/// The index of a scratch CSR, which holds data only.
+fn scratch_index(csr: Csr) -> Option<usize> {
+    match csr {
+        Csr::Scratch0 => Some(0),
+        Csr::Scratch1 => Some(1),
+        _ => None,
+    }
 }
 
 #[cfg(test)]
@@ -862,8 +896,8 @@ mod tests {
 
     /// A lane that rode to the halt: the armed run kept the golden
     /// timing in every cycle, and ended in the golden state overlaid
-    /// with the lane's register and memory differences — which include
-    /// the word at [`OUT`].
+    /// with the lane's register and memory differences — of which there
+    /// is at least one, a stored result.
     fn assert_rode_like_the_armed_run(start: &Soc, site: FaultSite) {
         let (ride, gold) = ride(start, site);
         let Ride::Halted(halted) = ride else { panic!("{site:?} fell off") };
@@ -875,9 +909,11 @@ mod tests {
             let lane_r = lane.regs.get(r).unwrap_or(end.core(0).regs()[r as usize]);
             assert_eq!(run.core(0).regs()[r as usize], lane_r, "{site:?}: register r{r}");
         }
-        let out = *lane.mem.get(&OUT).expect("the stored result differs");
-        assert_ne!(out, end.peek(OUT));
-        assert_eq!(run.peek(OUT), out, "{site:?}: the stored result");
+        assert!(!lane.mem.is_empty(), "{site:?}: no stored result differs");
+        for (&addr, &word) in &lane.mem {
+            assert_ne!(word, end.peek(addr));
+            assert_eq!(run.peek(addr), word, "{site:?}: the word at {addr:#x}");
+        }
     }
 
     /// A lane that fell off: the armed run kept the golden timing up to
@@ -919,6 +955,31 @@ mod tests {
         a.add(Reg::R4, Reg::R3, Reg::R1);
         a.nops(4);
         a.sw(Reg::R4, Reg::R10, 0);
+        a.halt();
+        let site = hdcu(Element::SelEncLine { mux: 0, bit: 0 }, Polarity::StuckAt0);
+        assert_rode_like_the_armed_run(&soc(&a), site);
+    }
+
+    #[test]
+    fn a_wrong_sum_rides_through_a_scratch_csr() {
+        // The select-encoder fault's wrong sum is written to `Scratch0`
+        // and read back before the store: a data difference through a
+        // CSR that holds data only.
+        let mut a = Asm::new();
+        a.lui(Reg::R10, (OUT >> 16) as u16);
+        a.nops(8);
+        a.ori(Reg::R10, Reg::R10, (OUT & 0xffff) as i16);
+        a.li(Reg::R1, 5);
+        a.li(Reg::R2, 7);
+        a.nops(8);
+        a.add(Reg::R3, Reg::R1, Reg::R2);
+        a.add(Reg::R4, Reg::R3, Reg::R1);
+        a.nops(4);
+        a.csrw(Csr::Scratch0, Reg::R4);
+        a.nops(4);
+        a.csrr(Reg::R6, Csr::Scratch0);
+        a.nops(4);
+        a.sw(Reg::R6, Reg::R10, 0);
         a.halt();
         let site = hdcu(Element::SelEncLine { mux: 0, bit: 0 }, Polarity::StuckAt0);
         assert_rode_like_the_armed_run(&soc(&a), site);
@@ -972,6 +1033,14 @@ mod tests {
         // Overflow is bit 0 of core A's cause register; bit 1 stuck at 1
         // reads 0b11 where the golden run reads 0b01.
         let site = icu(Element::CauseRegBit { bit: 1 }, Polarity::StuckAt1);
+        assert_rode_like_the_armed_run(&soc(&trap_program()), site);
+    }
+
+    #[test]
+    fn an_epc_bit_below_the_word_rides_through_mret() {
+        // Fetch drops the two low bits of the `mret` target, so bit 0
+        // stuck at 1 changes only the EPC the handler reads and stores.
+        let site = icu(Element::EpcBit { bit: 0 }, Polarity::StuckAt1);
         assert_rode_like_the_armed_run(&soc(&trap_program()), site);
     }
 

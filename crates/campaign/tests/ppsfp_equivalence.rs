@@ -13,8 +13,8 @@ use sbst_campaign::{
     Experiment, PpsfpStats,
 };
 use sbst_cpu::{unit_fault_list, CoreKind};
-use sbst_fault::{collapse, FaultList, FaultSite, Unit, Verdict};
-use sbst_soc::Scenario;
+use sbst_fault::{collapse, FaultList, FaultPlane, FaultSite, Unit, Verdict};
+use sbst_soc::{Scenario, Soc};
 
 type Records = Vec<(FaultSite, Verdict)>;
 
@@ -134,14 +134,46 @@ fn ppsfp_matches_warm_on_core_kind_b() {
     assert_eq!(warm, ppsfp);
 }
 
+/// The core under test's timing after a step: fetch PC, retired
+/// instructions and the stall counters.
+type Timing = (u32, u64, u64, u64, u64);
+
+fn timing(soc: &Soc) -> Timing {
+    let c = soc.core(0).counters();
+    (soc.core(0).fetch_unit().pc(), c.retired, c.haz_stalls, c.if_stalls, c.mem_stalls)
+}
+
+/// Splits `faults` by whether each one's armed run, stepped from
+/// `start`, leaves the golden run's timing before the golden core under
+/// test halts: (steady, diverging).
+fn split_by_timing(start: &Soc, faults: &FaultList) -> (FaultList, FaultList) {
+    let mut soc = start.clone();
+    let mut gold = Vec::new();
+    while !soc.core(0).halted() {
+        soc.step();
+        gold.push(timing(&soc));
+    }
+    let (diverging, steady): (Vec<FaultSite>, Vec<FaultSite>) =
+        faults.sites().iter().partition(|&&site| {
+            let mut soc = start.clone();
+            soc.core_mut(0).set_plane(FaultPlane::armed(site));
+            gold.iter().any(|&g| {
+                soc.step();
+                timing(&soc) != g
+            })
+        });
+    (FaultList::from_sites(steady), FaultList::from_sites(diverging))
+}
+
 /// The full collapsed list of a control unit on one core kind: warm ==
 /// PPSFP with no crash, every word ridden, and a fallback rate below
-/// `ceiling`. The ceiling is the check that the lanes carry what they
-/// should: on each list most faults never differ from the golden run in
-/// timing, measured by stepping every fault beside it (HDCU: 237 of 286
-/// on core A, 237 of 288 on B, 288 of 342 on C; ICU: 53–55 %), so a
-/// rate near 1 means lanes fell off on differences they can carry.
-fn control_unit_rides(kind: CoreKind, unit: Unit, ceiling: f64) {
+/// `ceiling`. A lane falls off exactly where its fault's timing leaves
+/// the golden run's before the core under test halts: the faults that
+/// keep the golden timing all ride, and as many fall off as diverge.
+/// (On each list most faults never differ from the golden run in
+/// timing, so a rate near 1 means lanes fell off on differences they
+/// can carry.) Returns the warm records and the PPSFP statistics.
+fn control_unit_rides(kind: CoreKind, unit: Unit, ceiling: f64) -> (Records, PpsfpStats) {
     let faults = unit_fault_list(kind, unit);
     let reps = collapse(&faults).representatives().clone();
     let (warm, ppsfp, stats) = warm_and_ppsfp(kind, unit, &reps);
@@ -153,28 +185,56 @@ fn control_unit_rides(kind: CoreKind, unit: Unit, ceiling: f64) {
         "{unit:?} on core {kind:?}: fallback rate {:.3} — lanes fell off on data differences",
         stats.fallback_rate
     );
+
+    let exp = multicore_exp(kind, unit);
+    let golden = exp.golden();
+    let (steady, diverging) = split_by_timing(exp.snapshot(&golden).soc(), &reps);
+    assert_eq!(
+        stats.fallback_faults,
+        diverging.len(),
+        "{unit:?} on core {kind:?}: lanes that fell off against faults whose timing diverges"
+    );
+    let (_, _, steady_stats) = run_campaign_ppsfp_detailed(&exp, &golden, &steady, 0);
+    assert_eq!(
+        steady_stats.fallback_faults, 0,
+        "{unit:?} on core {kind:?}: a lane fell off although its timing never left the golden run"
+    );
+    (warm, stats)
+}
+
+/// The hangs of a list, and how many of them the loop decider decided.
+fn decided_hangs(warm: &Records, stats: &PpsfpStats) -> (usize, usize) {
+    let hangs = warm.iter().filter(|(_, v)| *v == Verdict::Hang).count();
+    (stats.loop_short_circuits, hangs)
 }
 
 /// HDCU lanes carry their own faulted HDCU: a stall or split decision
 /// unlike the golden run's falls off, a different select code rides as
-/// a data difference.
+/// a data difference. The fallen-off hangs are mostly accumulator loops
+/// that fold a counter read into the signature every period: the loop
+/// decider's proof carries the read as a drift and decides all but one
+/// of them (a period that stores a drifting value).
 #[test]
 fn hdcu_lanes_ride_with_identical_verdicts_on_core_a() {
-    control_unit_rides(CoreKind::A, Unit::Hdcu, 0.3);
+    let (warm, stats) = control_unit_rides(CoreKind::A, Unit::Hdcu, 0.3);
+    assert_eq!(decided_hangs(&warm, &stats), (13, 14));
 }
 
 #[test]
 fn hdcu_lanes_ride_with_identical_verdicts_on_core_b() {
-    control_unit_rides(CoreKind::B, Unit::Hdcu, 0.3);
+    let (warm, stats) = control_unit_rides(CoreKind::B, Unit::Hdcu, 0.3);
+    assert_eq!(decided_hangs(&warm, &stats), (14, 15));
 }
 
 #[test]
 fn hdcu_lanes_ride_with_identical_verdicts_on_core_c() {
-    control_unit_rides(CoreKind::C, Unit::Hdcu, 0.3);
+    let (warm, stats) = control_unit_rides(CoreKind::C, Unit::Hdcu, 0.3);
+    assert_eq!(decided_hangs(&warm, &stats), (14, 14));
 }
 
 /// ICU lanes carry their own ICU: a different window start, recognition
-/// or `mret` target falls off, a different ICU CSR read rides as data.
+/// or word-aligned `mret` target falls off, a different ICU CSR read
+/// rides as data.
 #[test]
 fn icu_lanes_ride_with_identical_verdicts_on_core_a() {
     control_unit_rides(CoreKind::A, Unit::Icu, 0.6);

@@ -66,10 +66,28 @@ fn synthetic_faults(n: u16) -> FaultList {
         .collect()
 }
 
-fn scratch_path(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("det-sbst-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    dir.join(name)
+/// A fresh scratch directory for one test's checkpoint file, removed
+/// when the test ends — pass or fail.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("det-sbst-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create scratch dir");
+        Scratch(dir)
+    }
+
+    /// The test's checkpoint file in the directory.
+    fn checkpoint(&self) -> PathBuf {
+        self.0.join("ckpt.json")
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 #[test]
@@ -105,8 +123,8 @@ fn interrupted_campaign_resumes_to_the_identical_result() {
     let faults = synthetic_faults(60);
     let uninterrupted = run_campaign_graded(&SyntheticGrader::new(faults.sites()), &faults, 3);
 
-    let path = scratch_path("resume.ckpt.json");
-    let _ = std::fs::remove_file(&path);
+    let scratch = Scratch::new("resume");
+    let path = scratch.checkpoint();
     // Grade in slices of 17 — each invocation "dies" after max_new new
     // faults, exactly like a killed process whose last checkpoint held
     // that many verdicts.
@@ -139,7 +157,6 @@ fn interrupted_campaign_resumes_to_the_identical_result() {
     let again = resume_campaign_graded(&grader, &faults, 3, &cfg).expect("noop resume");
     assert_eq!(grader.calls.load(Ordering::Relaxed), 0);
     assert_eq!(again.result, uninterrupted.0);
-    let _ = std::fs::remove_file(&path);
 }
 
 /// The lock-contention fix's contract: `on_done` observers get slot
@@ -153,8 +170,8 @@ fn every_mid_campaign_checkpoint_is_consistent_and_resumes_identically() {
     let faults = synthetic_faults(48);
     let reference = run_campaign_graded(&SyntheticGrader::new(faults.sites()), &faults, 3);
 
-    let path = scratch_path("consistent.ckpt.json");
-    let _ = std::fs::remove_file(&path);
+    let scratch = Scratch::new("consistent");
+    let path = scratch.checkpoint();
     let mut slices = 0;
     let mut graded = 0;
     loop {
@@ -191,14 +208,14 @@ fn every_mid_campaign_checkpoint_is_consistent_and_resumes_identically() {
         assert!(slices < 20, "never converged");
     }
     assert_eq!(slices, 48usize.div_ceil(7));
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn checkpoint_for_a_different_fault_list_is_rejected() {
     let faults = synthetic_faults(10);
     let other = synthetic_faults(11);
-    let path = scratch_path("mismatch.ckpt.json");
+    let scratch = Scratch::new("mismatch");
+    let path = scratch.checkpoint();
     Checkpoint::new(&other).save(&path).expect("save");
     let grader = SyntheticGrader::new(faults.sites());
     let err = resume_campaign_graded(&grader, &faults, 1, &CheckpointConfig::new(path.clone()))
@@ -210,14 +227,13 @@ fn checkpoint_for_a_different_fault_list_is_rejected() {
         }
         other => panic!("wrong error: {other}"),
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn checkpoint_file_on_disk_tracks_progress() {
     let faults = synthetic_faults(12);
-    let path = scratch_path("progress.ckpt.json");
-    let _ = std::fs::remove_file(&path);
+    let scratch = Scratch::new("progress");
+    let path = scratch.checkpoint();
     let grader = SyntheticGrader::new(faults.sites());
     let cfg =
         CheckpointConfig { every: 1, max_new: Some(5), ..CheckpointConfig::new(path.clone()) };
@@ -228,7 +244,6 @@ fn checkpoint_file_on_disk_tracks_progress() {
     assert_eq!(on_disk.completed(), 5);
     assert_eq!(on_disk.fingerprint, fingerprint(&faults));
     assert!(!on_disk.is_complete());
-    let _ = std::fs::remove_file(&path);
 }
 
 /// The production path: a real (sampled) experiment graded via
@@ -247,8 +262,8 @@ fn resumed_experiment_campaign_matches_direct_run() {
     let faults = unit_fault_list(CoreKind::A, Unit::Icu).sample(60);
     let direct = run_campaign_detailed(&exp, &golden, &faults, 0).0;
 
-    let path = scratch_path("experiment.ckpt.json");
-    let _ = std::fs::remove_file(&path);
+    let scratch = Scratch::new("experiment");
+    let path = scratch.checkpoint();
     let outcome = resume_campaign(&exp, &golden, &faults, 0, &CheckpointConfig::new(path.clone()))
         .expect("resumable campaign");
     assert!(outcome.complete);
@@ -257,7 +272,6 @@ fn resumed_experiment_campaign_matches_direct_run() {
     // The checkpoint on disk is stamped with the experiment's config.
     let on_disk = Checkpoint::load(&path).expect("loads");
     assert_eq!(on_disk.config, exp.config_fingerprint());
-    let _ = std::fs::remove_file(&path);
 }
 
 /// A checkpoint recorded under one SoC configuration must not resume a
@@ -289,8 +303,8 @@ fn checkpoint_for_a_different_soc_config_is_rejected() {
     // and complete immediately).
     let faults = unit_fault_list(CoreKind::A, Unit::Icu).sample(25);
     assert!(faults.len() > 2, "need a partial first pass");
-    let path = scratch_path("config-mismatch.ckpt.json");
-    let _ = std::fs::remove_file(&path);
+    let scratch = Scratch::new("config-mismatch");
+    let path = scratch.checkpoint();
 
     // Record a (partial) checkpoint under the single-core config...
     let golden = single.golden();
@@ -315,5 +329,4 @@ fn checkpoint_for_a_different_soc_config_is_rejected() {
     let finished = resume_campaign(&single, &golden, &faults, 0, &CheckpointConfig::new(path.clone()))
         .expect("matching config resumes");
     assert!(finished.complete);
-    let _ = std::fs::remove_file(&path);
 }

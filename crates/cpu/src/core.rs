@@ -408,8 +408,9 @@ impl Core {
     /// the imprecision depth — is architecturally visible, and a
     /// difference is invariant across one loop period). The exclusions
     /// are sound only when the compared trajectory never reads a
-    /// counter CSR; the campaign's loop decider verifies that
-    /// separately from the instruction tap. A non-zero mask is the
+    /// counter CSR, or when what it does with the reads is accounted
+    /// for; the campaign's loop decider checks that separately from the
+    /// instruction tap. A non-zero mask is the
     /// register drift of a loop the decider replays (see
     /// [`ex_in_sources`](Core::ex_in_sources)).
     pub fn loop_state_diff(&self, other: &Core) -> Option<u32> {

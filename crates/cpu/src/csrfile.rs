@@ -61,8 +61,9 @@ impl CsrFile {
     /// deliberately excluded — they advance monotonically every cycle,
     /// so no two states of a spinning loop could ever compare equal
     /// through them. Excluding them is sound only when the loop body
-    /// never *reads* a counter CSR; the campaign's loop detector
-    /// verifies that separately from the instruction tap.
+    /// never *reads* a counter CSR, or when what it does with the reads
+    /// is accounted for; the campaign's loop decider checks that
+    /// separately from the instruction tap.
     pub fn loop_state_eq(&self, other: &CsrFile) -> bool {
         self.scratch == other.scratch
             && self.trap_vec == other.trap_vec
