@@ -12,7 +12,7 @@ use sbst_cpu::CoreKind;
 use sbst_fault::Unit;
 use sbst_soc::Scenario;
 
-use crate::experiment::{ExecStyle, Experiment};
+use crate::experiment::{ExecStyle, Experiment, ExperimentConfig};
 use crate::faultsim::run_campaign_collapsed;
 use crate::routines_for;
 use crate::tables::Effort;
@@ -105,15 +105,12 @@ pub fn ablate(kind: CoreKind, effort: &Effort) -> Vec<AblationRow> {
         for seed in 0..effort.seeds.max(2) {
             let scenario =
                 Scenario { active_cores: 3, skew_seed: seed, ..Scenario::single_core() };
-            let exp = Experiment::assemble_with_wrap(
-                &*factory,
-                kind,
-                variant.style(),
-                &scenario,
+            let config = ExperimentConfig {
                 iterations,
                 invalidate,
-            )
-            .expect("ablation experiment");
+                ..ExperimentConfig::new(kind, variant.style(), scenario)
+            };
+            let exp = Experiment::assemble_config(&*factory, &config).expect("ablation experiment");
             let golden = exp.golden();
             signatures.push(golden.signature);
             if seed == 0 {

@@ -1,21 +1,13 @@
-//! Incremental campaign checkpointing and resumption.
+//! The fleet's per-shard checkpoint file.
 //!
-//! A fault campaign is thousands of independent full-SoC simulations;
-//! killing the host process (preemption, OOM, operator ctrl-C) used to
-//! lose everything. This module periodically serializes the per-fault
-//! verdict vector to a small JSON file so a later invocation can skip
-//! every already-graded site and finish the campaign with a
-//! [`CampaignResult`] identical to an uninterrupted run.
-//!
-//! The checkpoint is bound to the *exact* fault list by a fingerprint
-//! (FNV-1a over the site taxonomy in list order): resuming against a
-//! different list, order, or taxonomy version is rejected instead of
-//! silently mis-attributing verdicts. Since format version 2 it is
-//! *also* bound to the SoC configuration that graded it (core kind,
-//! execution style, scenario, cache geometry and write policy — see
-//! [`fingerprint_config`]): a checkpoint resumed against a mismatched
-//! ECU variant is rejected with [`CheckpointError::ConfigMismatch`]
-//! instead of silently grading the wrong population.
+//! A fleet worker grading a shard persists the shard's verdict slots
+//! after every batch, so a killed or stolen attempt loses at most one
+//! batch: the retry restores the graded prefix and grades only the
+//! rest. [`fleet`](crate::fleet)'s `execute_shard` is the one place a
+//! file is restored, and it trusts a file only when its
+//! [`fingerprint`] matches the shard's fault slice, its config matches
+//! the ECU's fingerprint and it holds one slot per fault; any other
+//! file is counted as rejected and the shard is graded from scratch.
 //!
 //! [`Checkpoint::to_json`] and [`Checkpoint::from_json`] map a
 //! checkpoint to and from a [`Json`] value; the workspace's one codec,
@@ -27,41 +19,39 @@
 //! ```
 //!
 //! `verdicts[i]` is `null` while fault `i` is still ungraded, else the
-//! stable tag of [`Verdict`] (see [`Verdict::tag`]). Version 1 files
-//! (no `config`) still load, as unbound; any other version, a missing
-//! or unknown key, an unknown tag or a number that is not an unsigned
-//! integer is [`CheckpointError::Malformed`]. Writes go through a temp
-//! file + rename so a crash mid-write never corrupts the last good
+//! stable tag of [`Verdict`] (see [`Verdict::tag`]). A version 1 file
+//! has no `config` and loads as [`CONFIG_UNBOUND`], which no ECU
+//! fingerprint equals; any other version, a missing or unknown key, an
+//! unknown tag or a number that is not an unsigned integer is
+//! [`CheckpointError::Malformed`]. Writes go through a temp file +
+//! rename so a crash mid-write never corrupts the last good
 //! checkpoint.
 
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
-use sbst_fault::{FaultList, FaultSite, Verdict};
+use sbst_fault::{FaultList, Verdict};
 use sbst_obs::{parse_json, Json};
 
 use crate::experiment::ExperimentConfig;
-use crate::faultsim::{
-    grade_pending, CampaignError, CampaignResult, ExperimentGrader, FaultGrader,
-};
-use crate::{Experiment, Observation};
 
 /// Current checkpoint file format version.
 pub const CHECKPOINT_VERSION: u32 = 2;
 
-/// The config fingerprint of a checkpoint whose grading configuration
-/// was not recorded (grader-level campaigns with no SoC notion).
+/// The config fingerprint of a version 1 file, which predates config
+/// binding. Neither [`fingerprint_config`] nor
+/// [`EcuSpec::fingerprint`](crate::fleet::EcuSpec::fingerprint) ever
+/// returns it, so a version 1 file never restores a shard.
 pub const CONFIG_UNBOUND: u64 = 0;
 
-/// The persisted state of a (possibly partial) campaign.
+/// The persisted verdict slots of one (possibly partial) fleet shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     /// Fingerprint of the fault list this checkpoint belongs to.
     pub fingerprint: u64,
-    /// Fingerprint of the SoC/ECU configuration the verdicts were
-    /// graded under ([`CONFIG_UNBOUND`] when not recorded).
+    /// Fingerprint of the ECU configuration the verdicts were graded
+    /// under ([`CONFIG_UNBOUND`] in a version 1 file).
     pub config: u64,
     /// Per-fault verdict slots, in fault-list order.
     pub verdicts: Vec<Option<Verdict>>,
@@ -74,23 +64,6 @@ pub enum CheckpointError {
     Io(io::Error),
     /// The file is not a valid checkpoint (message says where).
     Malformed(String),
-    /// The checkpoint belongs to a different fault list.
-    FingerprintMismatch {
-        /// Fingerprint in the file.
-        found: u64,
-        /// Fingerprint of the offered fault list.
-        expected: u64,
-    },
-    /// The checkpoint was graded under a different SoC configuration
-    /// (core kind, scenario, cache geometry, write policy): its
-    /// verdicts describe a different ECU population and must not be
-    /// merged into this campaign.
-    ConfigMismatch {
-        /// Config fingerprint in the file.
-        found: u64,
-        /// Config fingerprint of the offered experiment.
-        expected: u64,
-    },
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -98,15 +71,6 @@ impl std::fmt::Display for CheckpointError {
         match self {
             CheckpointError::Io(e) => write!(f, "checkpoint I/O: {e}"),
             CheckpointError::Malformed(m) => write!(f, "malformed checkpoint: {m}"),
-            CheckpointError::FingerprintMismatch { found, expected } => write!(
-                f,
-                "checkpoint fingerprint {found:#x} does not match fault list {expected:#x}"
-            ),
-            CheckpointError::ConfigMismatch { found, expected } => write!(
-                f,
-                "checkpoint was graded under SoC config {found:#x}, not the offered \
-                 {expected:#x} — resuming would grade the wrong ECU population"
-            ),
         }
     }
 }
@@ -144,9 +108,8 @@ pub fn fingerprint(faults: &FaultList) -> u64 {
 /// policy — everything that can change what a verdict means (FNV-1a
 /// over the config's `Debug` rendering, which covers every field).
 ///
-/// Never returns [`CONFIG_UNBOUND`]; the reserved "not recorded" value
-/// is remapped so a real config can always be distinguished from an
-/// unbound checkpoint.
+/// Never returns [`CONFIG_UNBOUND`]; that value is remapped so a real
+/// config can always be distinguished from a version 1 file.
 pub fn fingerprint_config(config: &ExperimentConfig) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     fnv(&mut h, format!("{config:?}").as_bytes());
@@ -157,12 +120,6 @@ pub fn fingerprint_config(config: &ExperimentConfig) -> u64 {
 }
 
 impl Checkpoint {
-    /// A fresh, fully ungraded checkpoint for `faults`, not bound to
-    /// any SoC configuration.
-    pub fn new(faults: &FaultList) -> Checkpoint {
-        Checkpoint::with_config(faults, CONFIG_UNBOUND)
-    }
-
     /// A fresh, fully ungraded checkpoint for `faults`, graded under
     /// the SoC configuration with fingerprint `config`.
     pub fn with_config(faults: &FaultList, config: u64) -> Checkpoint {
@@ -176,11 +133,6 @@ impl Checkpoint {
     /// Number of graded slots.
     pub fn completed(&self) -> usize {
         self.verdicts.iter().filter(|v| v.is_some()).count()
-    }
-
-    /// Whether every fault is graded.
-    pub fn is_complete(&self) -> bool {
-        self.verdicts.iter().all(|v| v.is_some())
     }
 
     /// The checkpoint as a JSON value (schema in the module doc).
@@ -313,196 +265,10 @@ pub(crate) fn verdict_slots(doc: &Json) -> Result<Vec<Option<Verdict>>, Checkpoi
         .collect()
 }
 
-/// How a resumable campaign checkpoints itself.
-#[derive(Debug, Clone)]
-pub struct CheckpointConfig {
-    /// Where the checkpoint file lives.
-    pub path: PathBuf,
-    /// Persist after every `every` newly graded faults (and always once
-    /// at the end). 0 behaves like 1.
-    pub every: usize,
-    /// Grade at most this many *new* faults, then save and return a
-    /// partial outcome — the deterministic stand-in for an interrupt
-    /// (also useful for time-boxed campaign slices).
-    pub max_new: Option<usize>,
-    /// Fingerprint of the SoC configuration doing the grading (see
-    /// [`fingerprint_config`]). When not [`CONFIG_UNBOUND`], a
-    /// checkpoint recorded under a *different* configuration is
-    /// rejected with [`CheckpointError::ConfigMismatch`], and new
-    /// checkpoints are stamped with this value.
-    pub config: u64,
-}
-
-impl CheckpointConfig {
-    /// Checkpoints to `path` every 64 graded faults, no slice limit, no
-    /// configuration binding.
-    pub fn new(path: impl Into<PathBuf>) -> CheckpointConfig {
-        CheckpointConfig { path: path.into(), every: 64, max_new: None, config: CONFIG_UNBOUND }
-    }
-
-    /// Like [`new`](CheckpointConfig::new) but bound to the SoC
-    /// configuration with fingerprint `config`.
-    pub fn bound(path: impl Into<PathBuf>, config: u64) -> CheckpointConfig {
-        CheckpointConfig { config, ..CheckpointConfig::new(path) }
-    }
-}
-
-/// Outcome of a resumable campaign invocation.
-#[derive(Debug)]
-pub struct ResumableOutcome {
-    /// Aggregate over every *graded* fault so far.
-    pub result: CampaignResult,
-    /// Per-fault records for graded faults (fault-list order).
-    pub records: Vec<(FaultSite, Verdict)>,
-    /// Simulation crashes recorded during *this* invocation.
-    pub errors: Vec<CampaignError>,
-    /// Whether every fault of the list is now graded.
-    pub complete: bool,
-    /// Faults graded by this invocation (as opposed to restored from
-    /// the checkpoint).
-    pub newly_graded: usize,
-}
-
-/// Runs (or resumes) a checkpointed campaign against any grader.
-///
-/// If `cfg.path` holds a checkpoint for exactly this fault list, its
-/// verdicts are restored and those sites are skipped; otherwise a fresh
-/// checkpoint is started. Progress is persisted every `cfg.every`
-/// completions and once at the end, so a killed process loses at most
-/// `cfg.every` simulations.
-///
-/// # Errors
-///
-/// Propagates checkpoint I/O and format errors. A checkpoint whose
-/// fingerprint does not match `faults` is an error — pass a different
-/// path (or delete the file) to start over.
-pub fn resume_campaign_graded(
-    grader: &dyn FaultGrader,
-    faults: &FaultList,
-    threads: usize,
-    cfg: &CheckpointConfig,
-) -> Result<ResumableOutcome, CheckpointError> {
-    let fp = fingerprint(faults);
-    let mut checkpoint = if cfg.path.exists() {
-        let cp = Checkpoint::load(&cfg.path)?;
-        if cp.fingerprint != fp {
-            return Err(CheckpointError::FingerprintMismatch {
-                found: cp.fingerprint,
-                expected: fp,
-            });
-        }
-        if cfg.config != CONFIG_UNBOUND && cp.config != cfg.config {
-            return Err(CheckpointError::ConfigMismatch {
-                found: cp.config,
-                expected: cfg.config,
-            });
-        }
-        if cp.verdicts.len() != faults.len() {
-            return Err(malformed(&format!(
-                "checkpoint has {} slots for {} faults",
-                cp.verdicts.len(),
-                faults.len()
-            )));
-        }
-        cp
-    } else {
-        Checkpoint::with_config(faults, cfg.config)
-    };
-    let restored = checkpoint.completed();
-
-    // Cap this slice: pre-fill the slots we are *not* allowed to touch
-    // with a sentinel so the engine skips them, then blank them again
-    // before reporting.
-    let mut masked = Vec::new();
-    if let Some(max_new) = cfg.max_new {
-        let mut allowed = max_new;
-        for (i, v) in checkpoint.verdicts.iter_mut().enumerate() {
-            if v.is_none() {
-                if allowed == 0 {
-                    *v = Some(Verdict::SimError); // placeholder, blanked below
-                    masked.push(i);
-                } else {
-                    allowed -= 1;
-                }
-            }
-        }
-    }
-
-    let every = cfg.every.max(1);
-    let pending = Mutex::new(std::mem::take(&mut checkpoint.verdicts));
-    let errors = Mutex::new(Vec::new());
-    let save_state = Mutex::new((restored + masked.len(), cfg.path.clone(), fp));
-    let masked_ref = &masked;
-    grade_pending(grader, faults.sites(), &pending, &errors, threads, &|slots| {
-        let mut state = save_state.lock().expect("save state");
-        let done = slots.iter().filter(|v| v.is_some()).count();
-        if done >= state.0 + every {
-            state.0 = done;
-            let mut snapshot =
-                Checkpoint { fingerprint: state.2, config: cfg.config, verdicts: slots.to_vec() };
-            for &i in masked_ref {
-                snapshot.verdicts[i] = None;
-            }
-            // Persist best-effort: a failed write must not kill workers.
-            let _ = snapshot.save(&state.1);
-        }
-    });
-
-    checkpoint.verdicts = pending.into_inner().expect("verdict slots");
-    for &i in &masked {
-        checkpoint.verdicts[i] = None;
-    }
-    checkpoint.save(&cfg.path)?;
-
-    let records: Vec<(FaultSite, Verdict)> = faults
-        .sites()
-        .iter()
-        .zip(&checkpoint.verdicts)
-        .filter_map(|(&s, v)| v.map(|v| (s, v)))
-        .collect();
-    let newly_graded = checkpoint.completed() - restored;
-    Ok(ResumableOutcome {
-        result: CampaignResult::from_records(&records),
-        complete: checkpoint.is_complete(),
-        records,
-        errors: errors.into_inner().expect("error log"),
-        newly_graded,
-    })
-}
-
-/// Runs (or resumes) a checkpointed campaign of `experiment` over
-/// `faults` — the production entry point; see
-/// [`resume_campaign_graded`] for the semantics.
-///
-/// The checkpoint is bound to the experiment's SoC configuration: if
-/// `cfg` does not already pin a config fingerprint, the experiment's
-/// own is used, so a checkpoint recorded under a different core kind,
-/// scenario or cache geometry is rejected instead of silently graded
-/// against the wrong population.
-///
-/// # Errors
-///
-/// Propagates checkpoint I/O and format errors.
-pub fn resume_campaign(
-    experiment: &Experiment,
-    golden: &Observation,
-    faults: &FaultList,
-    threads: usize,
-    cfg: &CheckpointConfig,
-) -> Result<ResumableOutcome, CheckpointError> {
-    let grader = ExperimentGrader { experiment, golden };
-    let cfg = if cfg.config == CONFIG_UNBOUND {
-        CheckpointConfig { config: experiment.config_fingerprint(), ..cfg.clone() }
-    } else {
-        cfg.clone()
-    };
-    resume_campaign_graded(&grader, faults, threads, &cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbst_fault::{Element, Polarity, Unit};
+    use sbst_fault::{Element, FaultSite, Polarity, Unit};
 
     fn list(n: u16) -> FaultList {
         (0..n)
@@ -566,10 +332,10 @@ mod tests {
 
     #[test]
     fn empty_list_round_trips() {
-        let cp = Checkpoint::new(&FaultList::new());
+        let cp = Checkpoint::with_config(&FaultList::new(), 7);
         let back = decode(&cp.to_json().render()).expect("parses");
         assert_eq!(cp, back);
-        assert!(back.is_complete());
+        assert_eq!(back.completed(), back.verdicts.len(), "an empty list is fully graded");
     }
 
     #[test]
@@ -583,12 +349,30 @@ mod tests {
         assert_eq!(fingerprint(&a), fingerprint(&list(5)));
     }
 
+    /// A fresh scratch directory under the system temp directory,
+    /// removed when the test ends, pass or fail.
+    struct Scratch(PathBuf);
+
+    impl Scratch {
+        fn new(tag: &str) -> Scratch {
+            let dir = std::env::temp_dir().join(format!("det-sbst-{tag}-{}", std::process::id()));
+            let _ = fs::remove_dir_all(&dir);
+            fs::create_dir_all(&dir).expect("scratch dir");
+            Scratch(dir)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
     #[test]
     fn save_is_durable_atomic_and_leaves_no_temp_file() {
-        let dir = std::env::temp_dir().join(format!("det-sbst-cp-{}", std::process::id()));
-        fs::create_dir_all(&dir).expect("scratch dir");
-        let path = dir.join("chk.json");
-        let mut cp = Checkpoint::new(&list(4));
+        let scratch = Scratch::new("cp");
+        let path = scratch.0.join("chk.json");
+        let mut cp = Checkpoint::with_config(&list(4), 7);
         cp.verdicts[1] = Some(Verdict::Hang);
         cp.save(&path).expect("saves");
         assert_eq!(Checkpoint::load(&path).expect("loads"), cp);
@@ -598,7 +382,6 @@ mod tests {
         cp.save(&path).expect("saves again");
         assert_eq!(Checkpoint::load(&path).expect("reloads"), cp);
         assert!(!tmp_path(&path).exists());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -633,9 +416,8 @@ mod tests {
     /// file — never a torn target.
     #[test]
     fn torn_write_cannot_corrupt_the_last_good_checkpoint() {
-        let dir = std::env::temp_dir().join(format!("det-sbst-torn-{}", std::process::id()));
-        fs::create_dir_all(&dir).expect("scratch dir");
-        let path = dir.join("torn.ckpt.json");
+        let scratch = Scratch::new("torn");
+        let path = scratch.0.join("torn.ckpt.json");
         let mut good = Checkpoint::with_config(&list(6), 7);
         good.verdicts[2] = Some(Verdict::WrongSignature);
         good.save(&path).expect("saves");
@@ -666,11 +448,10 @@ mod tests {
             Checkpoint::load(&path),
             Err(CheckpointError::Malformed(_))
         ));
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn config_fingerprint_tracks_every_config_axis() {
+    fn fingerprint_config_tracks_every_config_axis() {
         use crate::{ExecStyle, ExperimentConfig};
         use sbst_cpu::CoreKind;
         use sbst_mem::{CacheConfig, WritePolicy};

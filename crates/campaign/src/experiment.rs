@@ -146,11 +146,6 @@ pub struct Experiment {
     /// was split into cache-sized parts, paper §III.2.2).
     cut_mailboxes: Vec<u32>,
     watchdog: u64,
-    /// Fingerprint of the [`ExperimentConfig`] this experiment was
-    /// assembled from (see
-    /// [`fingerprint_config`](crate::fingerprint_config)) — binds
-    /// checkpoints to the exact SoC configuration that graded them.
-    config_fp: u64,
 }
 
 /// Result-mailbox base of core `i` in campaign runs.
@@ -181,25 +176,8 @@ impl Experiment {
         Experiment::assemble_config(factory, &ExperimentConfig::new(kind, style, *scenario))
     }
 
-    /// Like [`assemble`](Experiment::assemble) but with explicit wrapper
-    /// loop-count and invalidation settings (the ablation studies).
-    pub fn assemble_with_wrap(
-        factory: &RoutineFactory<'_>,
-        kind: CoreKind,
-        style: ExecStyle,
-        scenario: &Scenario,
-        iterations: u32,
-        invalidate: bool,
-    ) -> Result<Experiment, WrapError> {
-        let cfg = ExperimentConfig {
-            iterations,
-            invalidate,
-            ..ExperimentConfig::new(kind, style, *scenario)
-        };
-        Experiment::assemble_config(factory, &cfg)
-    }
-
-    /// The fully explicit constructor (cache-geometry studies).
+    /// The fully explicit constructor (the ablation and cache-geometry
+    /// studies).
     ///
     /// # Errors
     ///
@@ -324,14 +302,8 @@ impl Experiment {
         let env_cut = env_cut.expect("at least one core");
         let cut_mailboxes =
             (0..cut_parts).map(|i| env_cut.result_addr + 16 * i as u32).collect();
-        let mut exp = Experiment {
-            builder,
-            image,
-            env_cut,
-            cut_mailboxes,
-            watchdog: 50_000_000,
-            config_fp: crate::checkpoint::fingerprint_config(config),
-        };
+        let mut exp =
+            Experiment { builder, image, env_cut, cut_mailboxes, watchdog: 50_000_000 };
         // Calibrate the watchdog from the golden run.
         let golden = exp.run(FaultPlane::fault_free());
         assert!(
@@ -346,12 +318,6 @@ impl Experiment {
     /// The core under test's routine environment.
     pub fn env(&self) -> RoutineEnv {
         self.env_cut
-    }
-
-    /// Fingerprint of the configuration this experiment was assembled
-    /// from — what checkpoints of its campaigns are bound to.
-    pub fn config_fingerprint(&self) -> u64 {
-        self.config_fp
     }
 
     /// Runs the experiment once with `plane` armed on the core under

@@ -222,21 +222,13 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
 /// holds `None`, writing verdicts in place and appending crash reports
 /// to `errors`. Panics inside `grader.grade` become
 /// [`Verdict::SimError`]; worker join failures become site-less
-/// [`CampaignError`]s. `on_done` receives a snapshot of the slots
-/// cloned under the lock that published the verdict — a consistent
-/// state of the campaign at some publication point — but runs *outside*
-/// it, so a slow observer (checkpoint serialization, file I/O) never
-/// serializes the grading workers. Observers must therefore tolerate
-/// snapshots arriving out of order: two workers can publish a, then b,
-/// yet deliver b's snapshot first (the checkpoint writer handles this
-/// with a monotonic done-count guard).
+/// [`CampaignError`]s.
 pub(crate) fn grade_pending(
     grader: &dyn FaultGrader,
     sites: &[FaultSite],
     pending: &Mutex<Vec<Option<Verdict>>>,
     errors: &Mutex<Vec<CampaignError>>,
     threads: usize,
-    on_done: &(dyn Fn(&[Option<Verdict>]) + Sync),
 ) {
     let todo: Vec<usize> = {
         let slots = pending.lock().expect("verdict slots");
@@ -266,12 +258,7 @@ pub(crate) fn grade_pending(
                 Verdict::SimError
             }
         };
-        let snapshot = {
-            let mut slots = pending.lock().expect("verdict slots");
-            slots[i] = Some(verdict);
-            slots.clone()
-        };
-        on_done(&snapshot);
+        pending.lock().expect("verdict slots")[i] = Some(verdict);
     };
     // A panic that escaped the per-fault isolation (e.g. in the engine
     // itself) is recorded instead of aborting the whole campaign.
@@ -323,7 +310,7 @@ pub fn run_campaign_graded(
     let sites = faults.sites();
     let pending = Mutex::new(vec![None::<Verdict>; sites.len()]);
     let errors = Mutex::new(Vec::new());
-    grade_pending(grader, sites, &pending, &errors, threads, &|_| {});
+    grade_pending(grader, sites, &pending, &errors, threads);
     let (result, records) = finish(sites, pending);
     (result, records, errors.into_inner().expect("error log"))
 }

@@ -206,11 +206,11 @@ pub fn shard_checkpoint_path(dir: &Path, shard: usize) -> PathBuf {
 }
 
 /// Executes one attempt of one shard: restores its checkpoint (when
-/// enabled and valid for this fault slice + ECU), grades the remaining
-/// faults in batches of `checkpoint_every` — each batch walked in shard
-/// order (cancellation check, the chaos action rolled for
-/// `(shard, attempt)` at its position, verdict), then persisted — and
-/// seals the result.
+/// enabled and valid for this fault slice, ECU and slot count), grades
+/// the remaining faults in batches of `checkpoint_every` — each batch
+/// walked in shard order (cancellation check, the chaos action rolled
+/// for `(shard, attempt)` at its position, verdict), then persisted —
+/// and seals the result.
 ///
 /// Panics when the chaos action is an injected panic — callers run it
 /// under `catch_unwind` (thread pool) or in a separate process.
@@ -241,8 +241,9 @@ pub(crate) fn execute_shard(
         }
     }
 
-    // Restore this shard's checkpoint when it matches both the fault
-    // slice and the ECU configuration; anything else is discarded.
+    // Restore this shard's checkpoint when it matches the fault slice,
+    // the ECU configuration and the slot count; anything else is
+    // discarded.
     let ckpt_path = checkpoint_dir.map(|d| shard_checkpoint_path(d, shard.index));
     let mut checkpoint = Checkpoint::with_config(&faults, ecu_fp);
     if let Some(path) = ckpt_path.as_deref() {

@@ -54,8 +54,8 @@ mod tape;
 
 pub use chaos::{run_chaos_campaign, ChaosCell, ChaosReport, ChaosSweepConfig, ChaosTelemetry};
 pub use checkpoint::{
-    fingerprint, fingerprint_config, resume_campaign, resume_campaign_graded, Checkpoint,
-    CheckpointConfig, CheckpointError, ResumableOutcome, CHECKPOINT_VERSION, CONFIG_UNBOUND,
+    fingerprint, fingerprint_config, Checkpoint, CheckpointError, CHECKPOINT_VERSION,
+    CONFIG_UNBOUND,
 };
 pub use experiment::{
     ExecStyle, Experiment, ExperimentConfig, Observation, RoutineFactory, Snapshot,

@@ -313,7 +313,7 @@ pub(crate) fn grade_ppsfp(
 
     let grader = WarmExperimentGrader::new(experiment, golden, snapshot);
     let errors = Mutex::new(Vec::new());
-    grade_pending(&grader, sites, &slots, &errors, threads, &|_| {});
+    grade_pending(&grader, sites, &slots, &errors, threads);
     stats.loop_short_circuits = grader.decided.load(Ordering::Relaxed);
 
     let (result, records) = finish(sites, slots);

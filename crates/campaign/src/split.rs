@@ -10,10 +10,13 @@
 use std::sync::Arc;
 
 use sbst_cpu::{CoreConfig, CoreKind};
-use sbst_fault::{FaultList, FaultPlane};
-use sbst_soc::SocBuilder;
+use sbst_fault::{FaultList, FaultPlane, FaultSite, Verdict};
+use sbst_mem::FlashImage;
+use sbst_soc::{RunOutcome, SocBuilder};
 use sbst_stl::routines::ForwardingTest;
 use sbst_stl::{plan_cached, wrap_cached, RoutineEnv, WrapConfig, WrapError};
+
+use crate::faultsim::{run_campaign_graded, FaultGrader};
 
 /// Outcome of the split-vs-whole comparison.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,7 +74,45 @@ pub fn split_union_coverage(
     })
 }
 
+/// Grades a fault against one program of the plan, run on its own
+/// single-core SoC from reset under the `golden×4 + 20 000` watchdog.
+struct PartGrader {
+    builder: SocBuilder,
+    image: Arc<FlashImage>,
+    /// The program's result mailbox.
+    mailbox: u32,
+    /// The golden run's signature and status words.
+    golden: (u32, u32),
+    watchdog: u64,
+}
+
+impl FaultGrader for PartGrader {
+    fn grade(&self, site: FaultSite) -> Verdict {
+        let mut soc = self.builder.build_shared(Arc::clone(&self.image));
+        soc.core_mut(0).set_plane(FaultPlane::armed(site));
+        match soc.run(self.watchdog) {
+            RunOutcome::Watchdog { .. } => Verdict::Hang,
+            RunOutcome::FatalTrap { .. } => Verdict::UnexpectedTrap,
+            RunOutcome::AllHalted { .. } => {
+                if soc.peek(self.mailbox) != self.golden.0 {
+                    Verdict::WrongSignature
+                } else if soc.peek(self.mailbox + 4) != self.golden.1 {
+                    Verdict::TestFail
+                } else {
+                    Verdict::Undetected
+                }
+            }
+        }
+    }
+}
+
 /// Per-fault detection vector for one program.
+///
+/// # Panics
+///
+/// Panics if any fault's simulation crashed: a crash proves nothing
+/// about the fault, so it must fail the comparison rather than count
+/// as undetected.
 fn grade_each(
     asm: &sbst_isa::Asm,
     env: &RoutineEnv,
@@ -85,37 +126,17 @@ fn grade_each(
         .load(&program)
         .core(CoreConfig::cached(kind, 0, base), 0);
     let image = builder.freeze_image();
-    let golden = {
-        let mut soc = builder.build_shared(Arc::clone(&image));
-        let outcome = soc.run(50_000_000);
-        assert!(outcome.is_clean(), "golden split run: {outcome:?}");
-        (soc.peek(env.result_addr), soc.peek(env.result_addr + 4), soc.cycle())
+    let mut soc = builder.build_shared(Arc::clone(&image));
+    let outcome = soc.run(50_000_000);
+    assert!(outcome.is_clean(), "golden split run: {outcome:?}");
+    let grader = PartGrader {
+        mailbox: env.result_addr,
+        golden: (soc.peek(env.result_addr), soc.peek(env.result_addr + 4)),
+        watchdog: soc.cycle() * 4 + 20_000,
+        builder,
+        image,
     };
-    let watchdog = golden.2 * 4 + 20_000;
-    let run_one = |plane: FaultPlane| {
-        let mut soc = builder.build_shared(Arc::clone(&image));
-        soc.core_mut(0).set_plane(plane);
-        let outcome = soc.run(watchdog);
-        match outcome {
-            sbst_soc::RunOutcome::AllHalted { .. } => {
-                soc.peek(env.result_addr) != golden.0 || soc.peek(env.result_addr + 4) != golden.1
-            }
-            _ => true, // hang or fatal trap: detected
-        }
-    };
-    let threads = crate::faultsim::resolve_threads(threads);
-    let sites = faults.sites();
-    let mut out = vec![false; sites.len()];
-    let chunk_size = sites.len().div_ceil(threads).max(1);
-    std::thread::scope(|scope| {
-        for (chunk, sites) in out.chunks_mut(chunk_size).zip(sites.chunks(chunk_size)) {
-            let run_one = &run_one;
-            scope.spawn(move || {
-                for (o, &site) in chunk.iter_mut().zip(sites) {
-                    *o = run_one(FaultPlane::armed(site));
-                }
-            });
-        }
-    });
-    out
+    let (_, records, errors) = run_campaign_graded(&grader, faults, threads);
+    assert!(errors.is_empty(), "split-plan simulations crashed: {errors:?}");
+    records.iter().map(|&(_, verdict)| verdict.is_detected()).collect()
 }

@@ -7,6 +7,7 @@
 //! run on every completed shard. Asserted over 50 independent chaos
 //! storms plus deterministic kill-and-resume and quarantine scenarios.
 
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -56,6 +57,25 @@ fn synthetic_list(n: u16) -> FaultList {
 fn plan() -> FleetPlan {
     let ecus = EcuSpec::population(Unit::Hdcu);
     FleetPlan::build(ecus, vec![synthetic_list(24), synthetic_list(24), synthetic_list(24)], 7)
+}
+
+/// A fresh checkpoint directory under the system temp directory,
+/// removed when the test ends, pass or fail.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("sbst-fleet-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        Scratch(dir)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Checks the invariants every fleet run must satisfy, chaos or not:
@@ -185,11 +205,7 @@ fn killed_worker_resumes_from_checkpoint_with_identical_verdicts() {
     let plan = plan();
     let baseline = run_fleet_serial(&plan, &HashGrader);
     for seed in 0..8 {
-        let dir = std::env::temp_dir().join(format!(
-            "sbst-fleet-resume-{}-{seed}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).expect("scratch dir");
+        let scratch = Scratch::new(&format!("resume-{seed}"));
         // Kill one pseudo-random shard at a pseudo-random fault index.
         let victim = (seed as usize * 7 + 3) % plan.shard_count();
         let after = 1 + (seed as usize * 5) % (plan.shards[victim].len - 1);
@@ -211,7 +227,7 @@ fn killed_worker_resumes_from_checkpoint_with_identical_verdicts() {
                 seed,
             },
             chaos,
-            checkpoint_dir: Some(dir.clone()),
+            checkpoint_dir: Some(scratch.0.clone()),
             checkpoint_every: 1,
             poll: Duration::from_millis(1),
         };
@@ -234,7 +250,6 @@ fn killed_worker_resumes_from_checkpoint_with_identical_verdicts() {
             }
             other => panic!("seed {seed}: victim shard fate {other:?}"),
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -269,9 +284,7 @@ impl FleetGrader for PoisonedBatchGrader {
 fn a_grader_crash_mid_shard_keeps_the_batches_before_it() {
     let plan = plan();
     let baseline = run_fleet_serial(&plan, &HashGrader);
-    let dir = std::env::temp_dir().join(format!("sbst-fleet-batches-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let scratch = Scratch::new("batches");
     let victim = &plan.shards[0];
     assert_eq!((victim.ecu, victim.len), (0, 7));
     let grader = PoisonedBatchGrader {
@@ -281,14 +294,13 @@ fn a_grader_crash_mid_shard_keeps_the_batches_before_it() {
         batches: Mutex::new(Vec::new()),
     };
     let cfg = FleetConfig {
-        checkpoint_dir: Some(dir.clone()),
+        checkpoint_dir: Some(scratch.0.clone()),
         checkpoint_every: 4,
         // Generous: only the poisoned batch may fail an attempt.
         policy: LeasePolicy { lease_timeout: Duration::from_secs(60), ..LeasePolicy::fast(3) },
         ..FleetConfig::new(2, 3)
     };
     let report = run_fleet(&plan, &grader, &cfg);
-    let _ = std::fs::remove_dir_all(&dir);
     assert_invariants(&report, &baseline, 3);
     assert!(report.is_complete());
     assert_eq!(report.telemetry.counters.retries, 1, "only the poisoned attempt failed");
@@ -302,30 +314,34 @@ fn a_grader_crash_mid_shard_keeps_the_batches_before_it() {
     assert!(batches.iter().all(|&n| (1..=4).contains(&n)), "batch sizes {batches:?}");
 }
 
-/// A checkpoint written for the wrong ECU configuration is rejected on
-/// load (counted, discarded) and the shard is re-graded from scratch —
-/// verdicts still match the baseline.
+/// A shard checkpoint is restored only when its fault slice, its ECU
+/// configuration and its slot count all match the shard. Three forged
+/// files with *lying* verdicts each break one of those bindings; each
+/// is rejected on load (counted, discarded) and its shard re-graded
+/// from scratch, so the verdicts still match the baseline.
 #[test]
 fn foreign_config_shard_checkpoints_are_rejected_not_merged() {
     let plan = plan();
     let baseline = run_fleet_serial(&plan, &HashGrader);
-    let dir = std::env::temp_dir()
-        .join(format!("sbst-fleet-foreign-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    // Forge a checkpoint for shard 0 with the right fault slice but a
-    // wrong config fingerprint and *lying* verdicts: if the fleet
-    // trusted it, shard 0 would diverge from the baseline.
-    let shard0_faults = plan.shard_fault_list(&plan.shards[0]);
-    let wrong_config = 0x1234_5678_9abc_def0;
-    let mut forged = Checkpoint::with_config(&shard0_faults, wrong_config);
-    for v in forged.verdicts.iter_mut() {
-        *v = Some(Verdict::SimError);
-    }
-    assert_eq!(forged.fingerprint, fingerprint(&shard0_faults));
-    forged.save(&shard_checkpoint_path(&dir, 0)).expect("forge checkpoint");
+    let scratch = Scratch::new("foreign");
+    let ecu0 = plan.ecus[0].fingerprint();
+    assert!(plan.shards[..3].iter().all(|s| s.ecu == 0 && s.len == 7), "{:?}", plan.shards);
+    let forge = |faults: &FaultList, config: u64, shard: usize, slots: usize| {
+        let verdicts = vec![Some(Verdict::SimError); slots];
+        let forged = Checkpoint { fingerprint: fingerprint(faults), config, verdicts };
+        forged.save(&shard_checkpoint_path(&scratch.0, shard)).expect("forge checkpoint");
+    };
+    let slice = |shard: usize| plan.shard_fault_list(&plan.shards[shard]);
+    // Shard 0: the right fault slice under a wrong ECU config.
+    forge(&slice(0), 0x1234_5678_9abc_def0, 0, 7);
+    // Shard 1: shard 0's fault slice under the right ECU config.
+    forge(&slice(0), ecu0, 1, 7);
+    // Shard 2: the right slice and config, one slot short. Trusting it
+    // would index past the slots on every attempt.
+    forge(&slice(2), ecu0, 2, 6);
 
     let cfg = FleetConfig {
-        checkpoint_dir: Some(dir.clone()),
+        checkpoint_dir: Some(scratch.0.clone()),
         checkpoint_every: 2,
         // A generous lease: under suite-wide load a short lease can
         // expire spuriously, and the stolen shard's retry would then
@@ -338,11 +354,11 @@ fn foreign_config_shard_checkpoints_are_rejected_not_merged() {
     assert_invariants(&report, &baseline, 7);
     assert!(report.is_complete());
     assert!(
-        report.telemetry.checkpoints_rejected >= 1,
-        "the forged checkpoint must be rejected, not trusted"
+        report.telemetry.checkpoints_rejected >= 3,
+        "every forged checkpoint must be rejected, not trusted (rejected {})",
+        report.telemetry.checkpoints_rejected
     );
     assert_eq!(report.telemetry.counters.resumes, 0, "nothing legitimate to resume");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A shard that fails every attempt exhausts its retry budget and is
