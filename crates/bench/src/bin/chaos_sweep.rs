@@ -6,8 +6,9 @@
 //! Usage: `chaos_sweep [smoke|standard] [seed]` (decimal seed, default
 //! 50336). Any other argument prints the usage and exits with status 2.
 //!
-//! Besides the per-cell table on stdout, the sweep's telemetry totals,
-//! with the mode and seed, are written to `out/chaos_report.json`.
+//! Besides the per-cell table on stdout, the sweep's totals
+//! (`ChaosReport::to_json`), with the mode and seed, are written to
+//! `out/chaos_report.json`.
 
 use sbst_campaign::{run_chaos_campaign, ChaosSweepConfig};
 use sbst_obs::Json;
@@ -41,7 +42,7 @@ fn main() {
     let report = run_chaos_campaign(&cfg).expect("campaign");
     println!("{report}");
 
-    let mut chaos = report.telemetry().to_json();
+    let mut chaos = report.to_json();
     chaos.set("mode", Json::Str(mode.into()));
     chaos.set("seed", Json::int(seed));
     std::fs::create_dir_all("out").expect("create out/");

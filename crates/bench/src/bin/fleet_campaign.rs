@@ -235,20 +235,7 @@ fn main() {
     assert!(t.counters.steals >= 1, "the hung lease must be stolen");
     println!("threads+chaos: {t}");
 
-    // The fleet counters in the standard observability summary table.
-    let hub = MetricsHub {
-        cycles: 0,
-        cores: Vec::new(),
-        bus: Default::default(),
-        events: report.events.clone(),
-        dropped_events: 0,
-        seu_strikes: 0,
-        seu_landed: 0,
-        injector_requests: None,
-        fleet: Some(t.counters),
-    };
-    print!("{}", hub.summary_table());
-
+    let hub = MetricsHub { events: report.events.clone(), ..MetricsHub::default() };
     write_dashboard(&hub, t);
 
     // ── Phase 2: a calm timed fleet run for the throughput figure.

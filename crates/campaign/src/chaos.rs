@@ -24,6 +24,7 @@ use std::sync::Arc;
 
 use sbst_cpu::{CoreConfig, CoreKind};
 use sbst_mem::{InjectorProgram, Prng, SeuConfig};
+use sbst_obs::Json;
 use sbst_soc::{ChaosConfig, SocBuilder};
 use sbst_stl::routines::ForwardingTest;
 use sbst_stl::{
@@ -123,92 +124,35 @@ pub struct ChaosReport {
     pub cells: Vec<ChaosCell>,
 }
 
-/// Sweep-level telemetry totals of a [`ChaosReport`] — the summary
-/// `chaos_sweep` writes to `out/chaos_report.json`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ChaosTelemetry {
-    /// Sweep cells executed.
-    pub cells: u64,
-    /// Trials across all cells.
-    pub trials: u64,
-    /// Trials clean on the first run.
-    pub clean: u64,
-    /// Trials healed by a retry.
-    pub recovered: u64,
-    /// Trials escalated to quarantine.
-    pub quarantined: u64,
-    /// Silent corruptions (invariant: 0).
-    pub silent: u64,
-    /// Quarantines in interference-only cells (invariant: 0).
-    pub false_quarantines: u64,
-    /// Full-SoC simulations consumed.
-    pub runs: u64,
-    /// SEU strikes that corrupted real state.
-    pub seu_landed: u64,
-    /// Requests issued by the traffic injector.
-    pub injector_requests: u64,
-    /// Worst single grant latency on any bus port (cycles).
-    pub max_grant_wait: u64,
-    /// Total grant-wait cycles across all masters and runs.
-    pub bus_wait_cycles: u64,
-    /// Certified per-access worst-case grant latency (cycles).
-    pub certified_bound: u64,
-    /// Runs whose observed wait exceeded the certified bound
-    /// (invariant: 0).
-    pub bound_violations: u64,
-}
-
-impl ChaosTelemetry {
-    /// Renders the totals as a JSON object.
-    pub fn to_json(&self) -> sbst_obs::Json {
-        use sbst_obs::Json;
-        Json::Obj(vec![
-            ("cells".into(), Json::int(self.cells)),
-            ("trials".into(), Json::int(self.trials)),
-            ("clean".into(), Json::int(self.clean)),
-            ("recovered".into(), Json::int(self.recovered)),
-            ("quarantined".into(), Json::int(self.quarantined)),
-            ("silent".into(), Json::int(self.silent)),
-            ("false_quarantines".into(), Json::int(self.false_quarantines)),
-            ("runs".into(), Json::int(self.runs)),
-            ("seu_landed".into(), Json::int(self.seu_landed)),
-            ("injector_requests".into(), Json::int(self.injector_requests)),
-            ("max_grant_wait".into(), Json::int(self.max_grant_wait)),
-            ("bus_wait_cycles".into(), Json::int(self.bus_wait_cycles)),
-            ("certified_bound".into(), Json::int(self.certified_bound)),
-            ("bound_violations".into(), Json::int(self.bound_violations)),
-        ])
-    }
-}
-
 impl ChaosReport {
     /// Total silent corruptions — the invariant is 0.
     pub fn silent_total(&self) -> usize {
         self.cells.iter().map(|c| c.silent).sum()
     }
 
-    /// Sweep-level telemetry totals.
-    pub fn telemetry(&self) -> ChaosTelemetry {
-        let mut t = ChaosTelemetry {
-            cells: self.cells.len() as u64,
-            false_quarantines: self.false_quarantines() as u64,
-            ..ChaosTelemetry::default()
-        };
-        for c in &self.cells {
-            t.trials += c.trials as u64;
-            t.clean += c.clean as u64;
-            t.recovered += c.recovered as u64;
-            t.quarantined += c.quarantined as u64;
-            t.silent += c.silent as u64;
-            t.runs += c.runs;
-            t.seu_landed += c.seu_landed;
-            t.injector_requests += c.injector_requests;
-            t.max_grant_wait = t.max_grant_wait.max(c.max_grant_wait);
-            t.bus_wait_cycles += c.bus_wait_cycles;
-            t.certified_bound = t.certified_bound.max(c.certified_bound);
-            t.bound_violations += c.bound_violations;
-        }
-        t
+    /// The sweep's totals as a JSON object — what `chaos_sweep` writes
+    /// to `out/chaos_report.json`: the cell count, the cells' counters
+    /// summed (the grant-wait maximum and the certified bound as
+    /// maxima) and the false quarantines.
+    pub fn to_json(&self) -> Json {
+        let sum = |f: fn(&ChaosCell) -> u64| Json::int(self.cells.iter().map(f).sum());
+        let max = |f: fn(&ChaosCell) -> u64| Json::int(self.cells.iter().map(f).max().unwrap_or(0));
+        Json::Obj(vec![
+            ("cells".into(), Json::int(self.cells.len() as u64)),
+            ("trials".into(), sum(|c| c.trials as u64)),
+            ("clean".into(), sum(|c| c.clean as u64)),
+            ("recovered".into(), sum(|c| c.recovered as u64)),
+            ("quarantined".into(), sum(|c| c.quarantined as u64)),
+            ("silent".into(), sum(|c| c.silent as u64)),
+            ("false_quarantines".into(), Json::int(self.false_quarantines() as u64)),
+            ("runs".into(), sum(|c| c.runs)),
+            ("seu_landed".into(), sum(|c| c.seu_landed)),
+            ("injector_requests".into(), sum(|c| c.injector_requests)),
+            ("max_grant_wait".into(), max(|c| c.max_grant_wait)),
+            ("bus_wait_cycles".into(), sum(|c| c.bus_wait_cycles)),
+            ("certified_bound".into(), max(|c| c.certified_bound)),
+            ("bound_violations".into(), sum(|c| c.bound_violations)),
+        ])
     }
 
     /// Bound violations across the whole sweep — the invariant is 0.

@@ -34,15 +34,12 @@ use std::path::{Path, PathBuf};
 use sbst_fault::{FaultList, Verdict};
 use sbst_obs::{parse_json, Json};
 
-use crate::experiment::ExperimentConfig;
-
 /// Current checkpoint file format version.
 pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// The config fingerprint of a version 1 file, which predates config
-/// binding. Neither [`fingerprint_config`] nor
-/// [`EcuSpec::fingerprint`](crate::fleet::EcuSpec::fingerprint) ever
-/// returns it, so a version 1 file never restores a shard.
+/// binding. [`EcuSpec::fingerprint`](crate::fleet::EcuSpec::fingerprint)
+/// never returns it, so a version 1 file never restores a shard.
 pub const CONFIG_UNBOUND: u64 = 0;
 
 /// The persisted verdict slots of one (possibly partial) fleet shard.
@@ -98,23 +95,6 @@ pub fn fingerprint(faults: &FaultList) -> u64 {
     fnv(&mut h, &(faults.len() as u64).to_le_bytes());
     for site in faults.iter() {
         fnv(&mut h, format!("{site:?}").as_bytes());
-    }
-    h
-}
-
-/// Stable fingerprint of an experiment's SoC configuration: core kind,
-/// execution style, scenario (active cores / code position / alignment
-/// / skew seed), wrapper settings and cache geometry incl. write
-/// policy — everything that can change what a verdict means (FNV-1a
-/// over the config's `Debug` rendering, which covers every field).
-///
-/// Never returns [`CONFIG_UNBOUND`]; that value is remapped so a real
-/// config can always be distinguished from a version 1 file.
-pub fn fingerprint_config(config: &ExperimentConfig) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    fnv(&mut h, format!("{config:?}").as_bytes());
-    if h == CONFIG_UNBOUND {
-        h = 1;
     }
     h
 }
@@ -448,45 +428,5 @@ mod tests {
             Checkpoint::load(&path),
             Err(CheckpointError::Malformed(_))
         ));
-    }
-
-    #[test]
-    fn fingerprint_config_tracks_every_config_axis() {
-        use crate::{ExecStyle, ExperimentConfig};
-        use sbst_cpu::CoreKind;
-        use sbst_mem::{CacheConfig, WritePolicy};
-        use sbst_soc::Scenario;
-
-        let base = ExperimentConfig::new(
-            CoreKind::A,
-            ExecStyle::CacheWrapped,
-            Scenario::single_core(),
-        );
-        let fp = fingerprint_config(&base);
-        assert_ne!(fp, CONFIG_UNBOUND, "real configs never collide with the unbound value");
-        assert_eq!(fp, fingerprint_config(&base), "deterministic");
-
-        let variants = [
-            ExperimentConfig { kind: CoreKind::B, ..base },
-            ExperimentConfig { style: ExecStyle::LegacyUncached, ..base },
-            ExperimentConfig {
-                scenario: Scenario { active_cores: 3, ..base.scenario },
-                ..base
-            },
-            ExperimentConfig {
-                dcache: CacheConfig {
-                    policy: WritePolicy::NoWriteAllocate,
-                    ..CacheConfig::dcache_4k()
-                },
-                ..base
-            },
-            ExperimentConfig {
-                icache: CacheConfig { size_bytes: 4 * 1024, ..CacheConfig::icache_8k() },
-                ..base
-            },
-        ];
-        for (i, v) in variants.iter().enumerate() {
-            assert_ne!(fp, fingerprint_config(v), "variant #{i} must change the fingerprint");
-        }
     }
 }

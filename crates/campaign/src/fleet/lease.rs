@@ -85,8 +85,9 @@ pub struct Lease {
     pub epoch: u64,
     /// Attempt number (1-based).
     pub attempt: u8,
-    /// Cooperative cancel token: set when the lease is stolen. Thread
-    /// workers poll it; the process pool kills the child instead.
+    /// Cancel token: set when the lease is stolen. Both pools poll it:
+    /// a thread attempt stops at its next check, a process attempt
+    /// kills and reaps its child.
     pub cancel: Arc<AtomicBool>,
 }
 

@@ -13,8 +13,9 @@
 //!   quarantine ([`LeaseTable`], [`LeasePolicy`], [`ShardFate`]);
 //! * [`chaos`] — the seeded worker-failure injection plane
 //!   ([`WorkerChaos`]: panic / hang / slow / corrupt-result);
-//! * [`orchestrator`] — the thread-pool service ([`run_fleet`]), the
-//!   serial reference ([`run_fleet_serial`]) and the production grader
+//! * [`orchestrator`] — the lease loop both pools run, the thread-pool
+//!   service ([`run_fleet`]), the serial reference
+//!   ([`run_fleet_serial`]) and the production grader
 //!   ([`ExperimentFleetGrader`]);
 //! * [`process`] — the process-per-worker pool
 //!   ([`run_fleet_process`]) for true crash isolation.

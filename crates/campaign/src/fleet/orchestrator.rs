@@ -1,5 +1,8 @@
 //! The fleet orchestrator: leased shards, worker threads, a watchdog
-//! monitor, and chaos-tolerant result merging.
+//! monitor, and chaos-tolerant result merging. Both pools run its one
+//! lease loop; they differ only in how a worker thread runs a shard
+//! attempt (in-thread here, in a child process in
+//! [`process`](super::process)).
 //!
 //! The headline property (asserted by the `fleet` test suite over
 //! dozens of seeded chaos storms): a [`run_fleet`] invocation under
@@ -179,25 +182,41 @@ impl ShardResult {
     }
 }
 
-/// Counters of what the chaos plane actually did (as opposed to was
-/// configured to do), shared across workers.
+/// Counters of what the chaos plane did, shared across workers: a
+/// thread attempt counts an injection when it fires, the process pool
+/// when it schedules one for a child, which cannot report.
 #[derive(Default)]
 pub(crate) struct InjectedTally {
-    pub panics: AtomicU64,
-    pub hangs: AtomicU64,
-    pub slows: AtomicU64,
-    pub corruptions: AtomicU64,
-    pub checkpoints_rejected: AtomicU64,
-    pub faults_graded: AtomicU64,
+    panics: AtomicU64,
+    hangs: AtomicU64,
+    slows: AtomicU64,
+    corruptions: AtomicU64,
+    checkpoints_rejected: AtomicU64,
 }
 
-/// Outcome of one shard attempt that did not panic.
-pub(crate) enum AttemptOutcome {
+impl InjectedTally {
+    /// Counts one injection of `action` (nothing for
+    /// [`ChaosAction::None`]).
+    pub(crate) fn count(&self, action: ChaosAction) {
+        let counter = match action {
+            ChaosAction::Panic { .. } => &self.panics,
+            ChaosAction::Hang { .. } => &self.hangs,
+            ChaosAction::Slow => &self.slows,
+            ChaosAction::Corrupt => &self.corruptions,
+            ChaosAction::None => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// What one shard attempt came to, in either pool.
+pub(crate) enum Attempt {
     /// A sealed (possibly chaos-corrupted) result.
     Sealed(ShardResult),
-    /// The lease was stolen; the attempt stopped cooperatively and
-    /// reports nothing.
+    /// The lease was stolen; the attempt stopped and reports nothing.
     Cancelled,
+    /// The attempt died without a result.
+    Failed(FailureKind),
 }
 
 /// Per-shard checkpoint path inside a fleet checkpoint directory.
@@ -206,45 +225,43 @@ pub fn shard_checkpoint_path(dir: &Path, shard: usize) -> PathBuf {
 }
 
 /// Executes one attempt of one shard: restores its checkpoint (when
-/// enabled and valid for this fault slice, ECU and slot count), grades
-/// the remaining faults in batches of `checkpoint_every` — each batch
-/// walked in shard order (cancellation check, the chaos action rolled
-/// for `(shard, attempt)` at its position, verdict), then persisted —
-/// and seals the result.
+/// `cfg` enables them and the file is valid for this fault slice, ECU
+/// and slot count), grades the remaining faults in batches of
+/// `cfg.checkpoint_every` — each batch walked in shard order
+/// (cancellation check, the chaos action rolled for `(shard, attempt)`
+/// at its position, verdict), then persisted — and seals the result.
+/// Never returns [`Attempt::Failed`].
 ///
 /// Panics when the chaos action is an injected panic — callers run it
 /// under `catch_unwind` (thread pool) or in a separate process.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn execute_shard(
     plan: &FleetPlan,
     shard: &Shard,
     attempt: u8,
-    chaos: &WorkerChaos,
+    cfg: &FleetConfig,
     grader: &dyn FleetGrader,
-    checkpoint_dir: Option<&Path>,
-    checkpoint_every: usize,
     cancel: &AtomicBool,
     tally: &InjectedTally,
-) -> AttemptOutcome {
+) -> Attempt {
     let spec = &plan.ecus[shard.ecu];
     let sites = plan.sites(shard);
     let faults = plan.shard_fault_list(shard);
     let fault_fp = plan.shard_fingerprint(shard);
     let ecu_fp = spec.fingerprint();
-    let action = chaos.roll(shard.index, attempt, sites.len());
+    let action = cfg.chaos.roll(shard.index, attempt, sites.len());
 
     if action == ChaosAction::Slow {
-        tally.slows.fetch_add(1, Ordering::Relaxed);
-        std::thread::sleep(Duration::from_millis(chaos.slow_millis));
+        tally.count(action);
+        std::thread::sleep(Duration::from_millis(cfg.chaos.slow_millis));
         if cancel.load(Ordering::Acquire) {
-            return AttemptOutcome::Cancelled;
+            return Attempt::Cancelled;
         }
     }
 
     // Restore this shard's checkpoint when it matches the fault slice,
     // the ECU configuration and the slot count; anything else is
     // discarded.
-    let ckpt_path = checkpoint_dir.map(|d| shard_checkpoint_path(d, shard.index));
+    let ckpt_path = cfg.checkpoint_dir.as_deref().map(|d| shard_checkpoint_path(d, shard.index));
     let mut checkpoint = Checkpoint::with_config(&faults, ecu_fp);
     if let Some(path) = ckpt_path.as_deref() {
         if path.exists() {
@@ -268,36 +285,36 @@ pub(crate) fn execute_shard(
     // a checkpoint save: a cancelled or killed attempt loses at most one
     // batch, and a shard slower than its lease still gains ground across
     // attempts.
-    let every = checkpoint_every.max(1);
+    let every = cfg.checkpoint_every.max(1);
     let pending: Vec<usize> =
         (0..sites.len()).filter(|&i| checkpoint.verdicts[i].is_none()).collect();
     let mut graded = 0usize;
     for batch in pending.chunks(every) {
         if cancel.load(Ordering::Acquire) {
-            return AttemptOutcome::Cancelled;
+            return Attempt::Cancelled;
         }
         let batch_sites: Vec<sbst_fault::FaultSite> = batch.iter().map(|&i| sites[i]).collect();
         let verdicts = grader.grade_batch(shard.ecu, spec, &batch_sites);
         assert_eq!(verdicts.len(), batch.len(), "one verdict per pending fault");
         for (&i, verdict) in batch.iter().zip(verdicts) {
             if cancel.load(Ordering::Acquire) {
-                return AttemptOutcome::Cancelled;
+                return Attempt::Cancelled;
             }
             match action {
                 ChaosAction::Panic { after } if graded == after => {
-                    tally.panics.fetch_add(1, Ordering::Relaxed);
+                    tally.count(action);
                     panic!(
                         "chaos: injected worker panic (shard {}, attempt {attempt})",
                         shard.index
                     );
                 }
                 ChaosAction::Hang { after } if graded == after => {
-                    tally.hangs.fetch_add(1, Ordering::Relaxed);
+                    tally.count(action);
                     // Hang until the lease is stolen and the monitor
                     // cancels us (process workers are killed instead).
                     loop {
                         if cancel.load(Ordering::Acquire) {
-                            return AttemptOutcome::Cancelled;
+                            return Attempt::Cancelled;
                         }
                         std::thread::sleep(Duration::from_millis(1));
                     }
@@ -306,7 +323,6 @@ pub(crate) fn execute_shard(
             }
             checkpoint.verdicts[i] = Some(verdict);
             graded += 1;
-            tally.faults_graded.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(path) = ckpt_path.as_deref() {
             if graded.is_multiple_of(every) {
@@ -326,13 +342,13 @@ pub(crate) fn execute_shard(
         // Flip one verdict *after* sealing: the orchestrator's
         // validation must catch this, or the headline bit-identity
         // property dies.
-        tally.corruptions.fetch_add(1, Ordering::Relaxed);
+        tally.count(action);
         result.verdicts[0] = match result.verdicts[0] {
             Verdict::Undetected => Verdict::Hang,
             _ => Verdict::Undetected,
         };
     }
-    AttemptOutcome::Sealed(result)
+    Attempt::Sealed(result)
 }
 
 /// Fleet orchestrator configuration.
@@ -404,28 +420,26 @@ impl FleetReport {
     }
 }
 
-pub(crate) struct EventLog {
-    pub(crate) start: Instant,
-    pub(crate) events: Mutex<Vec<TraceEvent>>,
+/// What the threads of one lease loop share.
+struct Run {
+    table: LeaseTable,
+    /// Merged verdicts per shard (`None` until the shard completes).
+    merged: Mutex<Vec<Option<Vec<Verdict>>>>,
+    tally: InjectedTally,
+    start: Instant,
+    /// The lease-protocol trace (`cycle` is milliseconds since `start`,
+    /// `core` the worker id).
+    events: Mutex<Vec<TraceEvent>>,
 }
 
-impl EventLog {
-    pub(crate) fn new() -> EventLog {
-        EventLog { start: Instant::now(), events: Mutex::new(Vec::new()) }
-    }
-
-    pub(crate) fn push(&self, core: Option<u8>, kind: TraceKind) {
+impl Run {
+    fn push(&self, core: Option<u8>, kind: TraceKind) {
         let cycle = self.start.elapsed().as_millis() as u64;
         self.events.lock().expect("event log").push(TraceEvent { cycle, core, kind });
     }
 
-    pub(crate) fn fail_event(
-        &self,
-        core: Option<u8>,
-        shard: usize,
-        kind: FailureKind,
-        outcome: FailOutcome,
-    ) {
+    /// Logs what a failure charged to `shard` came to.
+    fn failed(&self, core: Option<u8>, shard: usize, kind: FailureKind, outcome: FailOutcome) {
         match outcome {
             FailOutcome::Retry { backoff, failures } => self.push(
                 core,
@@ -443,74 +457,77 @@ impl EventLog {
             FailOutcome::Stale => {}
         }
     }
-}
 
-/// Accounts one sealed attempt result in either pool: a broken seal
-/// fails the lease as [`FailureKind::Corrupt`]; a valid result
-/// completes it, notes a checkpoint resume and logs `ShardDone`.
-/// Returns the verdicts to merge, or `None` when the result was
-/// rejected or arrived on a stale epoch (the shard was stolen and
-/// re-graded; the table counted the late result).
-pub(crate) fn accept(
-    plan: &FleetPlan,
-    table: &LeaseTable,
-    log: &EventLog,
-    core: Option<u8>,
-    lease: &Lease,
-    result: ShardResult,
-) -> Option<Vec<Verdict>> {
-    let shard = &plan.shards[lease.shard];
-    let ecu_fp = plan.ecus[shard.ecu].fingerprint();
-    if !result.is_valid(lease.shard, plan.shard_fingerprint(shard), ecu_fp) {
-        let fail = table.fail(lease.shard, lease.epoch, FailureKind::Corrupt);
-        log.fail_event(core, lease.shard, FailureKind::Corrupt, fail);
-        return None;
+    /// Accounts what an attempt on `lease` came to. A sealed result is
+    /// merged, with a checkpoint resume noted and `ShardDone` logged,
+    /// unless its seal is broken (a [`FailureKind::Corrupt`] failure)
+    /// or its epoch stale (the shard was stolen; the table counts the
+    /// late result). A cancelled attempt is ignored, since the steal
+    /// already charged it; a failed one fails the lease.
+    fn settle(&self, plan: &FleetPlan, core: Option<u8>, lease: &Lease, attempt: Attempt) {
+        let kind = match attempt {
+            Attempt::Sealed(result) => {
+                let shard = &plan.shards[lease.shard];
+                let ecu_fp = plan.ecus[shard.ecu].fingerprint();
+                if result.is_valid(lease.shard, plan.shard_fingerprint(shard), ecu_fp) {
+                    let (shard, restored) = (lease.shard as u32, result.resumed);
+                    if self.table.complete(lease.shard, lease.epoch, restored) {
+                        if restored > 0 {
+                            self.table.note_resume();
+                        }
+                        self.push(core, TraceKind::ShardDone { shard, restored });
+                        self.merged.lock().expect("merged verdicts")[lease.shard] =
+                            Some(result.verdicts);
+                    }
+                    return;
+                }
+                FailureKind::Corrupt
+            }
+            Attempt::Cancelled => return,
+            Attempt::Failed(kind) => kind,
+        };
+        let outcome = self.table.fail(lease.shard, lease.epoch, kind);
+        self.failed(core, lease.shard, kind, outcome);
     }
-    if !table.complete(lease.shard, lease.epoch, result.resumed) {
-        return None;
-    }
-    if result.resumed > 0 {
-        table.note_resume();
-    }
-    log.push(core, TraceKind::ShardDone { shard: lease.shard as u32, restored: result.resumed });
-    Some(result.verdicts)
-}
 
-/// Closes a fleet run in either pool: stamps the lease counters, the
-/// restored-fault count, the throughput over graded + restored faults
-/// and the verdict mix of every merged shard onto `telemetry`, whose
-/// injection counters and `faults_graded` the pool filled in.
-pub(crate) fn report(
-    table: &LeaseTable,
-    log: EventLog,
-    verdicts: Vec<Option<Vec<Verdict>>>,
-    mut telemetry: FleetTelemetry,
-) -> FleetReport {
-    let fates = table.fates();
-    debug_assert!(
-        fates.iter().zip(&verdicts).all(|(f, v)| {
-            matches!(f, ShardFate::Completed { .. }) == v.is_some()
-        }),
-        "every completed shard has merged verdicts and vice versa"
-    );
-    let elapsed = log.start.elapsed().as_secs_f64();
-    telemetry.counters = table.counters();
-    telemetry.faults_restored = fates
-        .iter()
-        .map(|f| match f {
-            ShardFate::Completed { resumed_faults, .. } => u64::from(*resumed_faults),
-            ShardFate::Quarantined { .. } => 0,
-        })
-        .sum();
-    let done = telemetry.faults_graded + telemetry.faults_restored;
-    telemetry.elapsed_secs = elapsed;
-    telemetry.faults_per_sec = if elapsed > 0.0 { done as f64 / elapsed } else { 0.0 };
-    telemetry.mix = CampaignResult::tally(verdicts.iter().flatten().flatten().copied()).mix();
-    FleetReport {
-        fates,
-        verdicts,
-        telemetry,
-        events: log.events.into_inner().expect("event log"),
+    /// The report of a settled run: the fates, the merged verdicts, the
+    /// trace and the telemetry, whose `faults_graded` is the merged
+    /// verdicts minus the restored ones.
+    fn finish(self) -> FleetReport {
+        let fates = self.table.fates();
+        let verdicts = self.merged.into_inner().expect("merged verdicts");
+        debug_assert!(
+            fates.iter().zip(&verdicts).all(|(f, v)| {
+                matches!(f, ShardFate::Completed { .. }) == v.is_some()
+            }),
+            "every completed shard has merged verdicts and vice versa"
+        );
+        let faults_restored = fates
+            .iter()
+            .map(|f| match f {
+                ShardFate::Completed { resumed_faults, .. } => u64::from(*resumed_faults),
+                ShardFate::Quarantined { .. } => 0,
+            })
+            .sum();
+        let mix = CampaignResult::tally(verdicts.iter().flatten().flatten().copied()).mix();
+        let merged = mix.total();
+        let elapsed_secs = self.start.elapsed().as_secs_f64();
+        let tally = self.tally;
+        let telemetry = FleetTelemetry {
+            counters: self.table.counters(),
+            injected_panics: tally.panics.into_inner(),
+            injected_hangs: tally.hangs.into_inner(),
+            injected_slowdowns: tally.slows.into_inner(),
+            injected_corruptions: tally.corruptions.into_inner(),
+            checkpoints_rejected: tally.checkpoints_rejected.into_inner(),
+            faults_graded: merged - faults_restored,
+            faults_restored,
+            elapsed_secs,
+            faults_per_sec: if elapsed_secs > 0.0 { merged as f64 / elapsed_secs } else { 0.0 },
+            mix,
+        };
+        let events = self.events.into_inner().expect("event log");
+        FleetReport { fates, verdicts, telemetry, events }
     }
 }
 
@@ -536,84 +553,63 @@ pub fn run_fleet_serial(plan: &FleetPlan, grader: &dyn FleetGrader) -> Vec<Vec<V
 /// [`Quarantined`](ShardFate::Quarantined), and the monitor's lease
 /// expiry bounds how long any failure can stall progress.
 pub fn run_fleet(plan: &FleetPlan, grader: &dyn FleetGrader, cfg: &FleetConfig) -> FleetReport {
-    let table = LeaseTable::new(plan.shard_count(), cfg.policy);
-    let merged: Mutex<Vec<Option<Vec<Verdict>>>> = Mutex::new(vec![None; plan.shard_count()]);
-    let tally = InjectedTally::default();
-    let log = EventLog::new();
+    run_leases(plan, cfg, &|lease: &Lease, tally: &InjectedTally| {
+        let shard = &plan.shards[lease.shard];
+        catch_unwind(AssertUnwindSafe(|| {
+            execute_shard(plan, shard, lease.attempt, cfg, grader, &lease.cancel, tally)
+        }))
+        .unwrap_or(Attempt::Failed(FailureKind::Panic))
+    })
+}
 
+/// The lease loop of both pools. `cfg.workers` scoped threads each
+/// claim and log a lease, run `attempt` on it (the pool's way to grade
+/// one shard attempt, which counts its injections in the tally and
+/// must stop once the lease's cancel token is set) and settle what it
+/// returns, while the calling thread expires stale leases until every
+/// shard is settled.
+pub(crate) fn run_leases(
+    plan: &FleetPlan,
+    cfg: &FleetConfig,
+    attempt: &(dyn Fn(&Lease, &InjectedTally) -> Attempt + Sync),
+) -> FleetReport {
+    let run = Run {
+        table: LeaseTable::new(plan.shard_count(), cfg.policy),
+        merged: Mutex::new(vec![None; plan.shard_count()]),
+        tally: InjectedTally::default(),
+        start: Instant::now(),
+        events: Mutex::new(Vec::new()),
+    };
     std::thread::scope(|scope| {
         for worker in 0..cfg.workers.max(1) {
-            let table = &table;
-            let merged = &merged;
-            let tally = &tally;
-            let log = &log;
+            let run = &run;
             scope.spawn(move || {
                 let core = Some(worker as u8);
-                loop {
-                    if table.all_settled() {
-                        break;
-                    }
-                    let Some(lease) = table.claim() else {
+                while !run.table.all_settled() {
+                    let Some(lease) = run.table.claim() else {
                         // Everything is leased or backing off; the
                         // monitor will free work up.
                         std::thread::sleep(cfg.poll);
                         continue;
                     };
-                    let shard = &plan.shards[lease.shard];
-                    log.push(
+                    run.push(
                         core,
                         TraceKind::ShardLease { shard: lease.shard as u32, attempt: lease.attempt },
                     );
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        execute_shard(
-                            plan,
-                            shard,
-                            lease.attempt,
-                            &cfg.chaos,
-                            grader,
-                            cfg.checkpoint_dir.as_deref(),
-                            cfg.checkpoint_every,
-                            &lease.cancel,
-                            tally,
-                        )
-                    }));
-                    match outcome {
-                        Ok(AttemptOutcome::Sealed(result)) => {
-                            if let Some(v) = accept(plan, table, log, core, &lease, result) {
-                                merged.lock().expect("merged verdicts")[lease.shard] = Some(v);
-                            }
-                        }
-                        Ok(AttemptOutcome::Cancelled) => {
-                            // The steal already charged this failure.
-                        }
-                        Err(_) => {
-                            let fail = table.fail(lease.shard, lease.epoch, FailureKind::Panic);
-                            log.fail_event(core, lease.shard, FailureKind::Panic, fail);
-                        }
-                    }
+                    run.settle(plan, core, &lease, attempt(&lease, &run.tally));
                 }
             });
         }
 
-        // The monitor: expire leases, cancel their holders, put the
-        // shards back on the market (or quarantine them).
-        while !table.all_settled() {
-            for (shard, outcome) in table.expire_stale() {
-                log.push(None, TraceKind::ShardSteal { shard: shard as u32 });
-                log.fail_event(None, shard, FailureKind::Timeout, outcome);
+        // The monitor: expire leases (which sets their cancel tokens)
+        // and put the shards back on the market, or quarantine them.
+        while !run.table.all_settled() {
+            for (shard, outcome) in run.table.expire_stale() {
+                run.push(None, TraceKind::ShardSteal { shard: shard as u32 });
+                run.failed(None, shard, FailureKind::Timeout, outcome);
             }
             std::thread::sleep(cfg.poll);
         }
     });
-
-    let telemetry = FleetTelemetry {
-        injected_panics: tally.panics.into_inner(),
-        injected_hangs: tally.hangs.into_inner(),
-        injected_slowdowns: tally.slows.into_inner(),
-        injected_corruptions: tally.corruptions.into_inner(),
-        checkpoints_rejected: tally.checkpoints_rejected.into_inner(),
-        faults_graded: tally.faults_graded.into_inner(),
-        ..FleetTelemetry::default()
-    };
-    report(&table, log, merged.into_inner().expect("merged verdicts"), telemetry)
+    run.finish()
 }

@@ -5,29 +5,29 @@
 //! kill, `std::process::abort`) would take the whole fleet down. This
 //! pool runs every shard attempt in its **own child process**: the
 //! child grades the shard, writes a sealed [`ShardResult`] file, and
-//! exits; the parent reaps exits, validates seals, and kills children
-//! whose lease expired. A child dying in *any* way — clean panic,
-//! abort, SIGKILL — is just a failed attempt.
+//! exits. A child dying in *any* way — clean panic, abort, SIGKILL —
+//! is just a failed attempt.
 //!
-//! The parent stays a single thread: the children are the parallelism,
-//! and the lease table is the only shared state, so there is nothing
-//! to deadlock on.
+//! Both pools run the same lease loop: one parent thread per worker
+//! slot claims a lease, spawns the attempt's child and waits on it,
+//! killing and reaping it once the lease is stolen, and the parent's
+//! calling thread expires stale leases. The children are the
+//! parallelism; the parent's threads only wait.
 
 use std::io;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::sync::atomic::AtomicBool;
+use std::path::Path;
+use std::process::{Command, ExitStatus, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::Duration;
 
-use sbst_fault::Verdict;
-use sbst_obs::{FleetTelemetry, Json, TraceKind};
+use sbst_obs::Json;
 
 use crate::checkpoint::{expect_keys, integer, malformed, parse, verdict_slots, CheckpointError};
 
-use super::chaos::ChaosAction;
-use super::lease::{FailureKind, Lease, LeaseTable};
+use super::lease::{FailureKind, Lease};
 use super::orchestrator::{
-    accept, execute_shard, report, AttemptOutcome, EventLog, FleetConfig, FleetGrader,
-    FleetReport, InjectedTally, ShardResult,
+    execute_shard, run_leases, Attempt, FleetConfig, FleetGrader, FleetReport, InjectedTally,
+    ShardResult,
 };
 use super::shard::{FleetPlan, Shard};
 
@@ -86,49 +86,34 @@ pub fn execute_shard_standalone(
     grader: &dyn FleetGrader,
 ) -> ShardResult {
     let cancel = AtomicBool::new(false);
-    let tally = InjectedTally::default();
-    match execute_shard(
-        plan,
-        shard,
-        attempt,
-        &cfg.chaos,
-        grader,
-        cfg.checkpoint_dir.as_deref(),
-        cfg.checkpoint_every,
-        &cancel,
-        &tally,
-    ) {
-        AttemptOutcome::Sealed(result) => result,
-        // The cancel token is never set in a standalone process.
-        AttemptOutcome::Cancelled => unreachable!("standalone shard attempts are never cancelled"),
+    match execute_shard(plan, shard, attempt, cfg, grader, &cancel, &InjectedTally::default()) {
+        Attempt::Sealed(result) => result,
+        // `execute_shard` never fails, and nothing sets the cancel
+        // token of a standalone process.
+        _ => unreachable!("standalone shard attempts are never cancelled"),
     }
 }
 
 /// Builds the child [`Command`] for one shard attempt. The callback
 /// receives the shard, the attempt number and the path the child must
-/// write its [`ShardResult`] JSON to.
-pub type ShardCommand<'a> = dyn Fn(&Shard, u8, &Path) -> Command + 'a;
-
-struct ActiveChild {
-    child: Child,
-    lease: Lease,
-    shard: usize,
-    out: PathBuf,
-    /// Set when the parent killed this child after a steal: its exit
-    /// has already been accounted for and must not be reported again.
-    killed: bool,
-}
+/// write its [`ShardResult`] JSON to; the pool's worker threads call
+/// it concurrently.
+pub type ShardCommand<'a> = dyn Fn(&Shard, u8, &Path) -> Command + Sync + 'a;
 
 /// Runs the fleet campaign with one **child process per shard
 /// attempt** — the crash-isolated twin of
-/// [`run_fleet`](super::run_fleet), with the same lease / steal /
-/// retry / quarantine semantics. Hung children are killed when their
-/// lease expires; children that die without writing a valid sealed
-/// result are charged as [`FailureKind::WorkerLost`].
+/// [`run_fleet`](super::run_fleet), through the same lease loop with
+/// the same steal / retry / quarantine semantics. Each of `cfg.workers`
+/// parent threads spawns its attempt's child and polls it every
+/// `cfg.poll`; a child whose lease is stolen is killed and reaped
+/// before its thread claims again. A child that cannot be spawned,
+/// exits non-zero or leaves no readable result file is charged as
+/// [`FailureKind::WorkerLost`].
 ///
-/// Injection counters in the returned telemetry are computed
-/// parent-side from the (pure) chaos rolls, since a crashed child
-/// cannot report what it did.
+/// Injection counters in the returned telemetry count the chaos
+/// actions scheduled for the children, since a crashed child cannot
+/// report what it did; `checkpoints_rejected` stays 0 for the same
+/// reason.
 ///
 /// # Errors
 ///
@@ -145,116 +130,50 @@ pub fn run_fleet_process(
         cfg.policy.seed
     ));
     std::fs::create_dir_all(&scratch)?;
-
-    let table = LeaseTable::new(plan.shard_count(), cfg.policy);
-    let mut merged: Vec<Option<Vec<Verdict>>> = vec![None; plan.shard_count()];
-    let log = EventLog::new();
-    let mut active: Vec<ActiveChild> = Vec::new();
-    // Injections are counted as scheduled; graded faults as accepted.
-    let mut telemetry = FleetTelemetry::default();
-
-    while !table.all_settled() || !active.is_empty() {
-        // 1. Expire stale leases; kill the children that held them.
-        for (shard, outcome) in table.expire_stale() {
-            log.push(None, TraceKind::ShardSteal { shard: shard as u32 });
-            log.fail_event(None, shard, FailureKind::Timeout, outcome);
-            for a in active.iter_mut().filter(|a| a.shard == shard && !a.killed) {
-                let _ = a.child.kill();
-                a.killed = true;
-            }
-        }
-
-        // 2. Reap exited children and account their results.
-        let mut still_active = Vec::new();
-        for mut a in active {
-            let status = match a.child.try_wait() {
-                Ok(Some(status)) => status,
-                Ok(None) => {
-                    still_active.push(a);
-                    continue;
-                }
-                // Treat a wait error like a lost worker.
-                Err(_) => {
-                    if !a.killed {
-                        let fail = table.fail(a.shard, a.lease.epoch, FailureKind::WorkerLost);
-                        log.fail_event(None, a.shard, FailureKind::WorkerLost, fail);
-                    }
-                    let _ = std::fs::remove_file(&a.out);
-                    continue;
-                }
-            };
-            if a.killed {
-                // Already charged as a timeout steal.
-                let _ = std::fs::remove_file(&a.out);
-                continue;
-            }
-            let result = status
-                .success()
-                .then(|| std::fs::read_to_string(&a.out).ok())
-                .flatten()
-                .and_then(|text| ShardResult::from_json(&parse(&text).ok()?).ok());
-            let _ = std::fs::remove_file(&a.out);
-            match result {
-                Some(result) => {
-                    let resumed = u64::from(result.resumed);
-                    if let Some(v) = accept(plan, &table, &log, None, &a.lease, result) {
-                        telemetry.faults_graded += (v.len() as u64).saturating_sub(resumed);
-                        merged[a.shard] = Some(v);
-                    }
-                }
-                None => {
-                    // Non-zero exit (panic/abort/signal) or an
-                    // unreadable/torn result file.
-                    let fail = table.fail(a.shard, a.lease.epoch, FailureKind::WorkerLost);
-                    log.fail_event(None, a.shard, FailureKind::WorkerLost, fail);
-                }
-            }
-        }
-        active = still_active;
-
-        // 3. Fill free worker slots with new leases.
-        while active.len() < cfg.workers.max(1) {
-            let Some(lease) = table.claim() else { break };
-            let shard = &plan.shards[lease.shard];
-            log.push(
-                None,
-                TraceKind::ShardLease { shard: lease.shard as u32, attempt: lease.attempt },
-            );
-            match cfg.chaos.roll(lease.shard, lease.attempt, shard.len) {
-                ChaosAction::Panic { .. } => telemetry.injected_panics += 1,
-                ChaosAction::Hang { .. } => telemetry.injected_hangs += 1,
-                ChaosAction::Slow => telemetry.injected_slowdowns += 1,
-                ChaosAction::Corrupt => telemetry.injected_corruptions += 1,
-                ChaosAction::None => {}
-            }
-            let out = scratch.join(format!("shard-{:04}-e{}.json", lease.shard, lease.epoch));
-            let _ = std::fs::remove_file(&out);
-            let mut cmd = command(shard, lease.attempt, &out);
-            cmd.stdout(Stdio::null()).stderr(Stdio::null());
-            match cmd.spawn() {
-                Ok(child) => active.push(ActiveChild {
-                    child,
-                    shard: lease.shard,
-                    lease,
-                    out,
-                    killed: false,
-                }),
-                Err(_) => {
-                    let fail = table.fail(lease.shard, lease.epoch, FailureKind::WorkerLost);
-                    log.fail_event(None, lease.shard, FailureKind::WorkerLost, fail);
-                }
-            }
-        }
-
-        std::thread::sleep(cfg.poll);
-    }
+    let report = run_leases(plan, cfg, &|lease: &Lease, tally: &InjectedTally| {
+        let shard = &plan.shards[lease.shard];
+        tally.count(cfg.chaos.roll(lease.shard, lease.attempt, shard.len));
+        let out = scratch.join(format!("shard-{:04}-e{}.json", lease.shard, lease.epoch));
+        let attempt = run_child(command(shard, lease.attempt, &out), &out, &lease.cancel, cfg.poll);
+        let _ = std::fs::remove_file(&out);
+        attempt
+    });
     let _ = std::fs::remove_dir_all(&scratch);
-    Ok(report(&table, log, merged, telemetry))
+    Ok(report)
+}
+
+/// One process attempt: spawns `cmd`, polls it every `poll` until it
+/// exits — killing and reaping it once `cancel` is set — and decodes
+/// the result it wrote to `out`. A spawn failure, a non-zero exit or
+/// an unreadable result is [`FailureKind::WorkerLost`].
+fn run_child(mut cmd: Command, out: &Path, cancel: &AtomicBool, poll: Duration) -> Attempt {
+    let Ok(mut child) = cmd.stdout(Stdio::null()).stderr(Stdio::null()).spawn() else {
+        return Attempt::Failed(FailureKind::WorkerLost);
+    };
+    let status = loop {
+        if cancel.load(Ordering::Acquire) {
+            // Stolen: the child must not outlive its lease.
+            let _ = child.kill();
+            let _ = child.wait();
+            return Attempt::Cancelled;
+        }
+        match child.try_wait() {
+            Ok(None) => std::thread::sleep(poll),
+            // A failed wait counts as a lost worker.
+            waited => break waited.ok().flatten(),
+        }
+    };
+    status
+        .filter(ExitStatus::success)
+        .and_then(|_| std::fs::read_to_string(out).ok())
+        .and_then(|text| ShardResult::from_json(&parse(&text).ok()?).ok())
+        .map_or(Attempt::Failed(FailureKind::WorkerLost), Attempt::Sealed)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sbst_fault::Verdict;
 
     fn decode(text: &str) -> Result<ShardResult, CheckpointError> {
         ShardResult::from_json(&parse(text)?)

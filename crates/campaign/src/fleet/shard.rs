@@ -13,7 +13,7 @@ use sbst_fault::{FaultList, FaultSite, Unit};
 use sbst_mem::{CacheConfig, WritePolicy};
 use sbst_soc::Scenario;
 
-use crate::checkpoint::{fingerprint, fingerprint_config};
+use crate::checkpoint::{fingerprint, fnv, CONFIG_UNBOUND};
 use crate::experiment::{ExecStyle, ExperimentConfig};
 
 /// One ECU variant of the fleet population.
@@ -29,15 +29,19 @@ pub struct EcuSpec {
 
 impl EcuSpec {
     /// Fingerprint binding shard checkpoints to this exact variant:
-    /// the configuration fingerprint folded with the unit under test.
+    /// FNV-1a over the `Debug` rendering of the SoC configuration (core
+    /// kind, execution style, scenario, wrapper settings, cache geometry
+    /// and write policy — every field that can change what a verdict
+    /// means), folded with the unit under test.
+    ///
+    /// Never returns [`CONFIG_UNBOUND`], so a real variant is always
+    /// told apart from a version 1 checkpoint file.
     pub fn fingerprint(&self) -> u64 {
-        let cfg = fingerprint_config(&self.config);
-        let mut h = cfg ^ 0x9e37_79b9_7f4a_7c15;
-        for b in format!("{:?}", self.unit).bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        if h == crate::checkpoint::CONFIG_UNBOUND {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        fnv(&mut h, format!("{:?}", self.config).as_bytes());
+        h ^= 0x9e37_79b9_7f4a_7c15;
+        fnv(&mut h, format!("{:?}", self.unit).as_bytes());
+        if h == CONFIG_UNBOUND {
             h = 1;
         }
         h
@@ -214,6 +218,58 @@ mod tests {
         // different checkpoint binding.
         let other = EcuSpec { unit: Unit::Hdcu, ..ecus[0].clone() };
         assert_ne!(ecus[0].fingerprint(), other.fingerprint());
+    }
+
+    #[test]
+    fn ecu_fingerprint_tracks_every_config_axis() {
+        use crate::ExecStyle;
+        use sbst_cpu::CoreKind;
+        use sbst_mem::{CacheConfig, WritePolicy};
+        use sbst_soc::Scenario;
+
+        let config =
+            ExperimentConfig::new(CoreKind::A, ExecStyle::CacheWrapped, Scenario::single_core());
+        let base = EcuSpec { name: "base".into(), config, unit: Unit::Hdcu };
+        let fp = base.fingerprint();
+        assert_ne!(fp, CONFIG_UNBOUND, "real variants never collide with the unbound value");
+        assert_eq!(fp, base.clone().fingerprint(), "deterministic");
+        let renamed = EcuSpec { name: "renamed".into(), ..base.clone() };
+        assert_eq!(fp, renamed.fingerprint(), "the name is a label, not a binding");
+
+        let variants = [
+            ExperimentConfig { kind: CoreKind::B, ..config },
+            ExperimentConfig { style: ExecStyle::LegacyUncached, ..config },
+            ExperimentConfig {
+                scenario: Scenario { active_cores: 3, ..config.scenario },
+                ..config
+            },
+            ExperimentConfig {
+                dcache: CacheConfig {
+                    policy: WritePolicy::NoWriteAllocate,
+                    ..CacheConfig::dcache_4k()
+                },
+                ..config
+            },
+            ExperimentConfig {
+                icache: CacheConfig { size_bytes: 4 * 1024, ..CacheConfig::icache_8k() },
+                ..config
+            },
+        ];
+        for (i, config) in variants.into_iter().enumerate() {
+            let variant = EcuSpec { config, ..base.clone() };
+            assert_ne!(fp, variant.fingerprint(), "variant #{i} must change the fingerprint");
+        }
+    }
+
+    /// Stored shard checkpoints are bound to these values: a change to
+    /// a `Debug` rendering they hash would orphan every stored file, so
+    /// it must fail here first.
+    #[test]
+    fn fingerprints_are_pinned() {
+        let population = EcuSpec::population(Unit::Hdcu);
+        let fps: Vec<u64> = population.iter().map(EcuSpec::fingerprint).collect();
+        assert_eq!(fps, [0x857c_4e05_e22f_47ee, 0xaa71_4884_7f63_7a6f, 0x3150_2b33_7dec_4b3c]);
+        assert_eq!(fingerprint(&list(4)), 0xdb7f_845c_bfd4_78e9);
     }
 
     #[test]

@@ -52,10 +52,9 @@ pub mod tables;
 mod tail;
 mod tape;
 
-pub use chaos::{run_chaos_campaign, ChaosCell, ChaosReport, ChaosSweepConfig, ChaosTelemetry};
+pub use chaos::{run_chaos_campaign, ChaosCell, ChaosReport, ChaosSweepConfig};
 pub use checkpoint::{
-    fingerprint, fingerprint_config, Checkpoint, CheckpointError, CHECKPOINT_VERSION,
-    CONFIG_UNBOUND,
+    fingerprint, Checkpoint, CheckpointError, CHECKPOINT_VERSION, CONFIG_UNBOUND,
 };
 pub use experiment::{
     ExecStyle, Experiment, ExperimentConfig, Observation, RoutineFactory, Snapshot,

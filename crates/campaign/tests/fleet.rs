@@ -5,7 +5,8 @@
 //! never deadlocks, every shard is explicitly accounted for, and the
 //! merged verdict map is **bit-identical** to an uninterrupted serial
 //! run on every completed shard. Asserted over 50 independent chaos
-//! storms plus deterministic kill-and-resume and quarantine scenarios.
+//! storms plus deterministic kill-and-resume and quarantine scenarios,
+//! and the process pool's lost-child and stolen-child paths.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -82,7 +83,8 @@ impl Drop for Scratch {
 /// full accounting (every shard Completed xor Quarantined, verdicts
 /// present exactly for completed shards), bit-identity of every
 /// completed shard against the serial baseline, and a telemetry
-/// verdict mix that counts exactly the merged verdicts.
+/// verdict mix and graded + restored fault counts that count exactly
+/// the merged verdicts.
 fn assert_invariants(
     report: &sbst_campaign::fleet::FleetReport,
     baseline: &[Vec<Verdict>],
@@ -131,6 +133,11 @@ fn assert_invariants(
         sim_error: count(Verdict::SimError),
     };
     assert_eq!(report.telemetry.mix, mix, "seed {seed}: verdict mix of the merged shards");
+    assert_eq!(
+        report.telemetry.faults_graded + report.telemetry.faults_restored,
+        merged.len() as u64,
+        "seed {seed}: graded + restored faults count exactly the merged verdicts"
+    );
 }
 
 /// The headline property, over 50 independent chaos storms.
@@ -415,6 +422,63 @@ fn persistent_failure_quarantines_only_the_sick_shard() {
         "quarantine surfaced as a trace event"
     );
     assert_eq!(report.telemetry.counters.quarantined, 1);
+}
+
+/// The process pool's failure paths, without a worker binary: a child
+/// that cannot be spawned and one that exits 0 without writing a
+/// result are each a lost worker, and a child that outlives its lease
+/// is stolen *and killed*, not abandoned to finish in the background.
+#[cfg(unix)]
+#[test]
+fn process_pool_charges_lost_children_and_kills_the_ones_it_steals() {
+    use sbst_campaign::fleet::{run_fleet_process, Shard};
+    use std::path::Path;
+    use std::process::Command;
+    use std::time::Instant;
+
+    let seed = 0x5ca1;
+    let ecus = EcuSpec::population(Unit::Hdcu);
+    let plan = FleetPlan::build(ecus, vec![synthetic_list(3); 3], 3);
+    assert_eq!(plan.shard_count(), 3);
+    let scratch = Scratch::new("proc-paths");
+    let cfg = FleetConfig {
+        policy: LeasePolicy {
+            max_retries: 1,
+            lease_timeout: Duration::from_millis(200),
+            ..LeasePolicy::fast(seed)
+        },
+        ..FleetConfig::new(3, seed)
+    };
+    let command = |shard: &Shard, attempt: u8, _out: &Path| match shard.index {
+        0 => Command::new(scratch.0.join("no-such-worker")),
+        1 => Command::new("true"),
+        _ => {
+            let marker = scratch.0.join(format!("alive-{attempt}"));
+            let mut cmd = Command::new("sh");
+            cmd.arg("-c").arg(format!("sleep 1 && touch '{}'", marker.display()));
+            cmd
+        }
+    };
+    let start = Instant::now();
+    let report = run_fleet_process(&plan, &cfg, &command).expect("scratch directory");
+    let elapsed = start.elapsed();
+    assert_invariants(&report, &run_fleet_serial(&plan, &HashGrader), seed);
+    let causes: Vec<FailureKind> = report.quarantined().into_iter().map(|(_, c)| c).collect();
+    assert_eq!(causes, [FailureKind::WorkerLost, FailureKind::WorkerLost, FailureKind::Timeout]);
+    assert_eq!(report.telemetry.counters.steals, 2, "both attempts of the sleeper were stolen");
+    assert!(elapsed < Duration::from_secs(1), "the run waited on its children: {elapsed:?}");
+
+    // A stolen child that was only abandoned would wake up and leave
+    // its marker behind.
+    std::thread::sleep(Duration::from_millis(1500));
+    let alive: Vec<_> = std::fs::read_dir(&scratch.0)
+        .expect("scratch listing")
+        .filter_map(|e| e.ok())
+        .filter(|e| e.file_name().to_string_lossy().starts_with("alive-"))
+        .collect();
+    assert!(alive.is_empty(), "a stolen child outlived its lease: {alive:?}");
+    let results = std::env::temp_dir().join(format!("sbst-fleet-{}-{seed:x}", std::process::id()));
+    assert!(!results.exists(), "{} left behind", results.display());
 }
 
 /// The fleet service against the real simulator: small heterogeneous

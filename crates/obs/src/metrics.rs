@@ -262,9 +262,9 @@ impl BusObs {
 
 /// Recovery counters of a fleet-campaign orchestrator run: how many
 /// shards were leased, how often workers had to be retried, stolen
-/// from, or quarantined, and how much work checkpoints saved. Attached
-/// to a [`MetricsHub`] so fleet recovery behaviour rides through the
-/// existing summary-table / JSONL exporters.
+/// from, or quarantined, and how often checkpoints saved work. The
+/// fleet's lease table keeps them, and
+/// [`FleetTelemetry`](crate::FleetTelemetry) renders them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FleetCounters {
     /// Shards in the plan.
@@ -307,9 +307,6 @@ pub struct MetricsHub {
     pub seu_landed: u64,
     /// Requests issued by the traffic injector, if one was configured.
     pub injector_requests: Option<u64>,
-    /// Fleet-orchestrator recovery counters, when the hub describes a
-    /// fleet campaign run rather than a single SoC simulation.
-    pub fleet: Option<FleetCounters>,
 }
 
 impl MetricsHub {
@@ -383,20 +380,6 @@ impl MetricsHub {
             out.push_str(&format!("; injector: {inj} requests"));
         }
         out.push('\n');
-        if let Some(f) = &self.fleet {
-            out.push_str(&format!(
-                "fleet: {}/{} shards completed, {} quarantined; {} leases, \
-                 {} retries, {} steals, {} resumes, {} late results\n",
-                f.completed,
-                f.shards,
-                f.quarantined,
-                f.leases,
-                f.retries,
-                f.steals,
-                f.resumes,
-                f.late_results,
-            ));
-        }
         out
     }
 
@@ -534,16 +517,6 @@ mod tests {
             seu_strikes: 2,
             seu_landed: 1,
             injector_requests: Some(7),
-            fleet: Some(FleetCounters {
-                shards: 12,
-                completed: 11,
-                quarantined: 1,
-                leases: 17,
-                retries: 4,
-                steals: 2,
-                resumes: 3,
-                late_results: 1,
-            }),
         }
     }
 
@@ -579,8 +552,6 @@ mod tests {
             "port0",
             "seu: 2 rolled",
             "injector: 7 requests",
-            "fleet: 11/12 shards completed",
-            "2 steals",
         ] {
             assert!(table.contains(needle), "missing {needle:?} in:\n{table}");
         }

@@ -83,13 +83,16 @@ pub struct FleetTelemetry {
     /// Shard checkpoints rejected on load (fingerprint/config mismatch
     /// or torn file) and discarded.
     pub checkpoints_rejected: u64,
-    /// Faults graded by workers (excluding checkpoint restores).
+    /// Faults graded by the attempts whose results were merged: the
+    /// merged verdicts minus the restored ones. Work of an attempt that
+    /// failed or was stolen is not counted.
     pub faults_graded: u64,
     /// Faults restored from shard checkpoints instead of re-graded.
     pub faults_restored: u64,
     /// Wall-clock seconds of the fleet run.
     pub elapsed_secs: f64,
-    /// Grading throughput over graded + restored faults.
+    /// Merged verdicts (graded + restored faults) per wall-clock
+    /// second.
     pub faults_per_sec: f64,
     /// Verdict distribution over every completed shard.
     pub mix: VerdictMix,

@@ -146,6 +146,5 @@ pub(crate) fn collect(soc: &Soc, obs: &SocObs, bus_obs: &BusObs) -> MetricsHub {
         seu_strikes: soc.seu_events().len() as u64,
         seu_landed: soc.seu_landed() as u64,
         injector_requests: soc.injector_stats().map(|s| s.requests),
-        fleet: None,
     }
 }
