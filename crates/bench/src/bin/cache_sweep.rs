@@ -49,7 +49,7 @@ fn main() {
             sigs.push(golden.signature);
             if seed == 0 {
                 cycles = golden.cycles;
-                fc = run_campaign_detailed(&exp, &golden, &faults, effort.threads).0.coverage();
+                fc = run_campaign_detailed(&exp, &golden, &faults, 0).0.coverage();
             }
         }
         sigs.dedup();

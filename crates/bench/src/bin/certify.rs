@@ -32,10 +32,10 @@
 use sbst_cpu::{CoreConfig, CoreKind};
 use sbst_mem::{ArbiterKind, InjectorProgram};
 use sbst_obs::{Json, PortBound};
-use sbst_soc::{ChaosConfig, ObsConfig, SocBuilder};
+use sbst_soc::{ChaosConfig, SocBuilder};
 use sbst_stl::routines::{ForwardingTest, IcuTest, RegFileTest};
 use sbst_stl::{
-    cycle_budget_for, learn_golden_cached, wrap_cached, RoutineEnv, SelfTestRoutine, WrapConfig,
+    derive_cycle_budget, learn_golden_cached, wrap_cached, RoutineEnv, SelfTestRoutine, WrapConfig,
     RESULT_SIG_OFF, RESULT_STATUS_OFF, STATUS_PASS,
 };
 
@@ -149,7 +149,7 @@ fn main() {
             let program = asm.assemble(BASE).expect("assembles");
             // The solo budget plus headroom for every access eating its
             // worst-case grant latency (3 ports, the conservative x4).
-            let budget = cycle_budget_for(&env, &asm) * 12;
+            let budget = derive_cycle_budget(&asm) * 12;
             for &arbiter in &arbiters {
                 for &cache in &caches {
                     for (i, &intensity) in intensities.iter().enumerate() {
@@ -162,7 +162,7 @@ fn main() {
                             .core(cache.core(kind, 0, BASE), 0)
                             .arbiter(arbiter)
                             .chaos(chaos)
-                            .observe(ObsConfig::default())
+                            .observe()
                             .build();
                         let outcome = soc.run(budget);
                         let stats = soc.bus().stats();

@@ -27,7 +27,7 @@ fn main() {
         .expect("experiment");
         let golden = exp.golden();
         let faults = effort.sample(&unit_fault_list(kind, unit));
-        let (agg, records) = run_campaign_detailed(&exp, &golden, &faults, effort.threads);
+        let (agg, records) = run_campaign_detailed(&exp, &golden, &faults, 0);
         println!("== {unit} (core {kind}, cache-wrapped): {agg}");
         for (category, detected, total) in summarize_by_category(&records) {
             println!(

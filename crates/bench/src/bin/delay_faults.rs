@@ -29,12 +29,12 @@ fn main() {
                 .expect("uncached experiment");
         let golden = uncached.golden();
         let fc_uncached =
-            run_campaign_detailed(&uncached, &golden, &sample, effort.threads).0.coverage();
+            run_campaign_detailed(&uncached, &golden, &sample, 0).0.coverage();
         let cached = Experiment::assemble(&*factory, kind, ExecStyle::CacheWrapped, &scenario)
             .expect("cached experiment");
         let golden = cached.golden();
         let fc_cached =
-            run_campaign_detailed(&cached, &golden, &sample, effort.threads).0.coverage();
+            run_campaign_detailed(&cached, &golden, &sample, 0).0.coverage();
         println!(
             "{:>4} | {:>12} | {:>22.2} | {:>20.2}",
             kind,

@@ -4,6 +4,8 @@
 //!   routine: forwarding | hdcu | icu | regfile | branch | lsu | alu
 //!   core:    A | B | C (default A)
 //!   --raw:   print the unwrapped body instead of the Figure-2b wrapper
+//!
+//! Any other core or a surplus argument prints the usage and exits 2.
 
 use sbst_cpu::CoreKind;
 use sbst_isa::Asm;
@@ -12,19 +14,29 @@ use sbst_stl::routines::{
 };
 use sbst_stl::{wrap_cached, RoutineEnv, SelfTestRoutine, WrapConfig};
 
+/// `(routine, core, raw)` from the arguments after the program name, or
+/// `None` when they do not match the usage.
+fn parse(args: &[String]) -> Option<(&str, CoreKind, bool)> {
+    let (which, rest) = args.split_first()?;
+    let (raw, rest) = match rest {
+        [rest @ .., last] if last == "--raw" => (true, rest),
+        _ => (false, rest),
+    };
+    let kind = match rest {
+        [] => CoreKind::A,
+        [core] => *CoreKind::ALL.iter().find(|k| k.to_string() == *core)?,
+        _ => return None,
+    };
+    Some((which, kind, raw))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(which) = args.first() else {
+    let Some((which, kind, raw)) = parse(&args) else {
         eprintln!("usage: disasm <forwarding|hdcu|icu|regfile|branch|lsu|alu> [A|B|C] [--raw]");
         std::process::exit(2);
     };
-    let kind = match args.get(1).map(String::as_str) {
-        Some("B") => CoreKind::B,
-        Some("C") => CoreKind::C,
-        _ => CoreKind::A,
-    };
-    let raw = args.iter().any(|a| a == "--raw");
-    let routine: Box<dyn SelfTestRoutine> = match which.as_str() {
+    let routine: Box<dyn SelfTestRoutine> = match which {
         "forwarding" => Box::new(ForwardingTest::without_pcs(kind)),
         "hdcu" => Box::new(HdcuTest::new(kind)),
         "icu" => Box::new(IcuTest::new()),

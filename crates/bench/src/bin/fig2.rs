@@ -2,9 +2,8 @@
 //! self-test procedure (a) versus the cache-based multi-core version (b).
 
 use sbst_cpu::CoreKind;
-use sbst_isa::Asm;
 use sbst_stl::routines::IcuTest;
-use sbst_stl::{wrap_cached, RoutineEnv, Signature, WrapConfig};
+use sbst_stl::{wrap_cached, RoutineEnv, WrapConfig};
 
 fn main() {
     let kind = CoreKind::A;
@@ -32,7 +31,6 @@ fn main() {
         program.words().len(),
         program.len_bytes() <= 8 * 1024
     );
-    let _ = Signature::new();
     println!("\nFirst 24 instructions of the emitted wrapper:\n");
     let head: String = program
         .disassemble()
@@ -41,5 +39,4 @@ fn main() {
         .collect::<Vec<_>>()
         .join("\n");
     println!("{head}");
-    let _ = Asm::new();
 }

@@ -49,3 +49,20 @@ fn a_misspelt_table_mode_prints_the_usage_before_any_sweep() {
         assert!(out.stdout.is_empty(), "{bin} {args:?} started a sweep before refusing");
     }
 }
+
+#[test]
+fn disasm_rejects_an_unknown_core_or_a_surplus_argument() {
+    let disasm = env!("CARGO_BIN_EXE_disasm");
+    for args in [&["hdcu", "Q"][..], &["icu", "B", "--rwa"], &["icu", "--raw", "B"]] {
+        let out = Command::new(disasm).args(args).output().expect("spawn binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "disasm {args:?} was accepted");
+        assert!(stderr.contains("usage:"), "disasm {args:?} printed no usage:\n{stderr}");
+        assert!(out.stdout.is_empty(), "disasm {args:?} disassembled before refusing");
+    }
+    let out = Command::new(disasm).args(["icu", "B", "--raw"]).output().expect("spawn binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "disasm icu B --raw was refused");
+    assert!(stdout.starts_with("; icu[8 rounds] on core B"), "{stdout}");
+    assert!(stdout.contains("[unwrapped body]"), "{stdout}");
+}

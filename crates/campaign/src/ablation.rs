@@ -115,7 +115,7 @@ pub fn ablate(kind: CoreKind, effort: &Effort) -> Vec<AblationRow> {
             signatures.push(golden.signature);
             if seed == 0 {
                 cycles = golden.cycles;
-                coverage = run_campaign_collapsed(&exp, &golden, &sample, effort.threads).coverage();
+                coverage = run_campaign_collapsed(&exp, &golden, &sample, 0).coverage();
             }
         }
         signatures.sort_unstable();

@@ -28,7 +28,7 @@ use sbst_obs::Json;
 use sbst_soc::{ChaosConfig, SocBuilder};
 use sbst_stl::routines::ForwardingTest;
 use sbst_stl::{
-    cycle_budget_for, learn_golden_cached, run_self_healing, wrap_cached, CheckMode, HealAction,
+    derive_cycle_budget, learn_golden_cached, run_self_healing, wrap_cached, CheckMode, HealAction,
     HealConfig, RoutineEnv, RunReport, WrapConfig, WrapError, RESULT_SIG_OFF, RESULT_STATUS_OFF,
 };
 
@@ -228,7 +228,7 @@ pub fn run_chaos_campaign(cfg: &ChaosSweepConfig) -> Result<ChaosReport, WrapErr
 
     let asm = wrap_cached(&routine, &env, &wrap, "chaos")?;
     let program = asm.assemble(CHAOS_BASE)?;
-    let budget = cycle_budget_for(&env, &asm);
+    let budget = derive_cycle_budget(&asm);
     let image = {
         let mut b = SocBuilder::new();
         b = b.load(&program);

@@ -4,7 +4,7 @@ use sbst_cpu::{CoreConfig, CoreKind};
 use sbst_fault::Unit;
 use sbst_soc::{Scenario, SocBuilder};
 use sbst_stl::routines::{BranchTest, GenericAluTest, IcuTest, LsuTest, RegFileTest};
-use sbst_stl::sched::{build_stl_program, CoreStl, SchedLayout};
+use sbst_stl::sched::{build_stl_program, CoreStl};
 use sbst_stl::{wrap_tcm, RoutineEnv, WrapConfig};
 
 use crate::experiment::{Experiment, ExecStyle};
@@ -13,7 +13,8 @@ use crate::routines_for;
 
 /// How much work to spend on a sweep (tests use tiny presets, the
 /// table binaries `quick()` by default and `standard()` on request;
-/// `full()` grades every fault).
+/// `full()` grades every fault). Campaigns grade on every available
+/// core.
 #[derive(Debug, Clone, Copy)]
 pub struct Effort {
     /// Grade at most this many faults per fault list (evenly sampled).
@@ -23,24 +24,22 @@ pub struct Effort {
     pub sweep_scenarios: usize,
     /// Phase-skew seeds per configuration (Table I averaging, sweep).
     pub seeds: u64,
-    /// Worker threads (0 = available parallelism).
-    pub threads: usize,
 }
 
 impl Effort {
     /// Quick preset (CI tests).
     pub fn quick() -> Effort {
-        Effort { max_faults: 150, sweep_scenarios: 4, seeds: 2, threads: 0 }
+        Effort { max_faults: 150, sweep_scenarios: 4, seeds: 2 }
     }
 
     /// Standard preset: the table binaries' `standard` mode (minutes).
     pub fn standard() -> Effort {
-        Effort { max_faults: 800, sweep_scenarios: 9, seeds: 3, threads: 0 }
+        Effort { max_faults: 800, sweep_scenarios: 9, seeds: 3 }
     }
 
     /// Grade everything (the paper's setting; slow).
     pub fn full() -> Effort {
-        Effort { max_faults: usize::MAX, sweep_scenarios: 18, seeds: 5, threads: 0 }
+        Effort { max_faults: usize::MAX, sweep_scenarios: 18, seeds: 5 }
     }
 
     /// Even sampling of `list` respecting the budget.
@@ -102,7 +101,6 @@ pub struct Table1Row {
 /// the paper) executed in parallel on 1/2/3 cores through the
 /// decentralized scheduler, stalls measured per core and summed.
 pub fn table1(effort: &Effort) -> Vec<Table1Row> {
-    let layout = SchedLayout::default();
     let wrap = WrapConfig {
         iterations: 1,
         invalidate: false,
@@ -130,8 +128,8 @@ pub fn table1(effort: &Effort) -> Vec<Table1Row> {
                 };
                 // The STL: generic boot-time routines of varying length
                 // (the seed perturbs the mix — "initial SoC config").
-                let stl = CoreStl {
-                    routines: vec![
+                let stl = CoreStl::new(
+                    vec![
                         Box::new(RegFileTest::new()),
                         Box::new(GenericAluTest::new(6 + core as u32)),
                         Box::new(BranchTest::new()),
@@ -139,9 +137,8 @@ pub fn table1(effort: &Effort) -> Vec<Table1Row> {
                         Box::new(GenericAluTest::new(5)),
                     ],
                     env,
-                    watchdog: None,
-                };
-                let asm = build_stl_program(core, active as u32, &stl, &wrap, &layout);
+                );
+                let asm = build_stl_program(core, active as u32, &stl, &[], None, &wrap);
                 let base = scenario.code_base(core);
                 builder = builder
                     .load(&asm.assemble(base).expect("stl assembles"))
@@ -219,7 +216,7 @@ pub fn table2(effort: &Effort) -> Vec<Table2Row> {
                 Experiment::assemble(&*factory, kind, ExecStyle::LegacyUncached, scenario)
                     .expect("uncached experiment");
             let golden = exp.golden();
-            let res = run_campaign_collapsed(&exp, &golden, &sample, effort.threads);
+            let res = run_campaign_collapsed(&exp, &golden, &sample, 0);
             fc_min = fc_min.min(res.coverage());
             fc_max = fc_max.max(res.coverage());
         }
@@ -234,7 +231,7 @@ pub fn table2(effort: &Effort) -> Vec<Table2Row> {
         )
         .expect("cached experiment");
         let golden = exp.golden();
-        let cached = run_campaign_collapsed(&exp, &golden, &sample, effort.threads);
+        let cached = run_campaign_collapsed(&exp, &golden, &sample, 0);
         rows.push(Table2Row {
             core,
             fault_count: list.len(),
@@ -302,12 +299,12 @@ pub fn table3(effort: &Effort) -> Vec<Table3Row> {
                 Experiment::assemble(&*factory, kind, ExecStyle::LegacyUncached, &single)
                     .expect("single-core experiment");
             let golden = exp.golden();
-            let fc_single = run_campaign_collapsed(&exp, &golden, &sample, effort.threads).coverage();
+            let fc_single = run_campaign_collapsed(&exp, &golden, &sample, 0).coverage();
             let multi = Scenario { active_cores: 3, ..Scenario::single_core() };
             let exp = Experiment::assemble(&*factory, kind, ExecStyle::CacheWrapped, &multi)
                 .expect("cached experiment");
             let golden = exp.golden();
-            let fc_multi = run_campaign_collapsed(&exp, &golden, &sample, effort.threads).coverage();
+            let fc_multi = run_campaign_collapsed(&exp, &golden, &sample, 0).coverage();
             rows.push(Table3Row {
                 core,
                 unit,

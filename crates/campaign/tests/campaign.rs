@@ -163,7 +163,6 @@ fn table1_stalls_grow_superlinearly() {
         max_faults: 1,
         sweep_scenarios: 1,
         seeds: 1,
-        threads: 0,
     };
     let rows = sbst_campaign::tables::table1(&effort);
     assert_eq!(rows.len(), 3);
@@ -174,6 +173,23 @@ fn table1_stalls_grow_superlinearly() {
     }
 }
 
+/// The exact Table I stall sums of one phase seed on 1, 2 and 3 cores:
+/// a change to how the scheduler lays out a core's boot program must
+/// not move a single stall cycle.
+#[test]
+fn table1_stall_sums_are_pinned() {
+    let effort = sbst_campaign::tables::Effort {
+        max_faults: 1,
+        sweep_scenarios: 1,
+        seeds: 1,
+    };
+    let sums: Vec<(usize, u64, u64)> = sbst_campaign::tables::table1(&effort)
+        .iter()
+        .map(|r| (r.active_cores, r.if_stalls, r.mem_stalls))
+        .collect();
+    assert_eq!(sums, [(1, 3111, 687), (2, 18651, 2465), (3, 48864, 5549)]);
+}
+
 #[test]
 fn ablation_loading_loop_is_what_buys_determinism() {
     use sbst_campaign::ablation::{ablate, Variant};
@@ -181,7 +197,6 @@ fn ablation_loading_loop_is_what_buys_determinism() {
         max_faults: 1, // determinism probing only
         sweep_scenarios: 1,
         seeds: 3,
-        threads: 0,
     };
     let rows = ablate(CoreKind::A, &effort);
     let by = |v: Variant| rows.iter().find(|r| r.variant == v).expect("variant present");
@@ -291,7 +306,7 @@ fn effort_sampling_keeps_both_polarities() {
     // collapse onto one polarity (a stride-parity artifact).
     let list = unit_fault_list(CoreKind::A, Unit::Hdcu);
     for max_faults in [10, 50, 100, 127, 250] {
-        let effort = Effort { max_faults, sweep_scenarios: 1, seeds: 1, threads: 1 };
+        let effort = Effort { max_faults, sweep_scenarios: 1, seeds: 1 };
         let sample = effort.sample(&list);
         assert!(sample.len() <= max_faults + max_faults / 2, "budget respected-ish");
         let sa0 = sample.iter().filter(|s| s.polarity == Polarity::StuckAt0).count();

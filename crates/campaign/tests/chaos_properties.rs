@@ -24,7 +24,7 @@ use sbst_mem::{ArbiterKind, InjectorProgram, SeuConfig};
 use sbst_soc::{ChaosConfig, SocBuilder};
 use sbst_stl::routines::ForwardingTest;
 use sbst_stl::{
-    cycle_budget_for, run_chaotic, run_self_healing, run_standalone, wrap_cached, CheckMode,
+    derive_cycle_budget, run_chaotic, run_self_healing, run_standalone, wrap_cached, CheckMode,
     HealAction, HealConfig, RoutineEnv, WrapConfig, RESULT_SIG_OFF,
 };
 
@@ -57,8 +57,8 @@ fn fixture() -> &'static Fixture {
             ..WrapConfig::default()
         };
         let unwrapped = wrap_cached(&routine, &env, &legacy_cfg, "legacy").expect("wraps");
-        let budget_wrapped = cycle_budget_for(&env, &wrapped);
-        let budget_unwrapped = cycle_budget_for(&env, &unwrapped);
+        let budget_wrapped = derive_cycle_budget(&wrapped);
+        let budget_unwrapped = derive_cycle_budget(&unwrapped);
         let solo_wrapped = run_standalone(
             &wrapped, &env, KIND, true, BASE, FaultPlane::fault_free(), budget_wrapped,
         );

@@ -5,30 +5,21 @@
 //! declare which routines run on which core, let the library learn the
 //! fault-free golden signatures (paper §I: "obtained in a fault-free
 //! scenario"), and emit one cache-wrapped, self-checking boot-test
-//! program per core — scheduler barrier included. After a run, read the
-//! per-routine verdicts back from the result mailboxes.
+//! program per core — scheduler barrier included. Each core's routines
+//! form one [`CoreStl`], laid out, learned and booted by the scheduler
+//! ([`crate::sched`]). After a run, read the per-routine verdicts back
+//! from the result mailboxes.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
-use sbst_cpu::{CoreConfig, CoreKind};
+use sbst_cpu::CoreKind;
 use sbst_isa::Program;
 use sbst_mem::SRAM_BASE;
 use sbst_soc::{Soc, SocBuilder};
 
-use crate::routine::{RoutineEnv, SelfTestRoutine, STATUS_FAIL, STATUS_PASS};
-use crate::sched::{emit_barrier, SchedLayout};
-use crate::wrap::cache::{emit_into, WrapConfig, WrapError};
-use crate::wrap::Terminator;
-
-/// One catalog entry: a named routine assigned to one core.
-pub struct CatalogEntry {
-    /// Stable routine name (report key).
-    pub name: String,
-    /// Core the routine runs on (0 = A, 1 = B, 2 = C).
-    pub core: usize,
-    /// The routine itself.
-    pub routine: Box<dyn SelfTestRoutine>,
-}
+use crate::routine::{RoutineEnv, SelfTestRoutine, RESULT_STATUS_OFF, STATUS_FAIL, STATUS_PASS};
+use crate::sched::{boot_base, boot_soc, build_stl_program, CoreStl};
+use crate::wrap::cache::{WrapConfig, WrapError};
 
 /// Verdict of one routine after a boot-test run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,60 +126,59 @@ impl GoldenDb {
 /// ```
 #[derive(Default)]
 pub struct StlCatalog {
-    entries: Vec<CatalogEntry>,
-    wrap: WrapConfig,
+    /// Per core, in core order: the routine names and the core's share.
+    cores: BTreeMap<usize, (Vec<String>, CoreStl)>,
 }
 
 impl StlCatalog {
-    /// An empty catalog with the default (paper) wrapper configuration.
+    /// An empty catalog.
     pub fn new() -> StlCatalog {
         StlCatalog::default()
     }
 
-    /// Adds a routine to one core's boot sequence.
+    /// Adds a routine to one core's boot sequence. Core `c`'s mailboxes
+    /// start at `SRAM_BASE + 0x100 + 0x400·c` and its scratch areas at
+    /// `SRAM_BASE + 0x4000 + 0x1000·c`, room for 64 routines each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range or already has 64 routines.
     pub fn add(&mut self, name: &str, core: usize, routine: Box<dyn SelfTestRoutine>) {
         assert!(core < 3, "triple-core SoC: core must be 0..3");
-        self.entries.push(CatalogEntry { name: name.to_string(), core, routine });
+        let (names, stl) = self.cores.entry(core).or_insert_with(|| {
+            let env = RoutineEnv {
+                result_addr: SRAM_BASE + 0x100 + 0x400 * core as u32,
+                data_base: SRAM_BASE + 0x4000 + 0x1000 * core as u32,
+                ..RoutineEnv::for_core(CoreKind::ALL[core])
+            };
+            (Vec::new(), CoreStl::new(Vec::new(), env))
+        });
+        assert!(names.len() < 64, "core {core} already runs 64 routines");
+        names.push(name.to_string());
+        stl.routines.push(routine);
     }
 
     /// Number of routines.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.cores.values().map(|(names, _)| names.len()).sum()
     }
 
     /// Whether the catalog is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The per-entry environment: mailboxes advance globally by entry
-    /// index so the report can read every routine unambiguously.
-    fn env_of(&self, entry_idx: usize, core: usize) -> RoutineEnv {
-        RoutineEnv {
-            result_addr: SRAM_BASE + 0x100 + 16 * entry_idx as u32,
-            data_base: SRAM_BASE + 0x4000 + 0x200 * entry_idx as u32,
-            ..RoutineEnv::for_core(CoreKind::ALL[core])
-        }
+        self.cores.is_empty()
     }
 
     /// Learns every routine's golden signature on its own core
-    /// (single-core cached runs) and returns the persistable database.
+    /// (single-core cached runs, see [`CoreStl::learn`]) and returns
+    /// the persistable database.
     ///
     /// # Errors
     ///
     /// Propagates wrapper errors (oversized routine, assembly failure).
     pub fn learn(&self) -> Result<GoldenDb, WrapError> {
-        let mut entries = Vec::with_capacity(self.entries.len());
-        for (i, entry) in self.entries.iter().enumerate() {
-            let env = self.env_of(i, entry.core);
-            let golden = crate::harness::learn_golden_cached(
-                entry.routine.as_ref(),
-                &env,
-                &self.wrap,
-                CoreKind::ALL[entry.core],
-                0x400,
-            )?;
-            entries.push((entry.name.clone(), golden));
+        let mut entries = Vec::with_capacity(self.len());
+        for (names, stl) in self.cores.values() {
+            entries.extend(names.iter().cloned().zip(stl.learn()?));
         }
         Ok(GoldenDb { entries })
     }
@@ -207,7 +197,8 @@ impl StlCatalog {
     }
 
     /// Builds the boot image against previously learned (possibly
-    /// persisted) goldens.
+    /// persisted) goldens: active core `i` (in core order) boots from
+    /// slot `i` (see [`build_stl_program`] and [`boot_soc`]).
     ///
     /// # Panics
     ///
@@ -218,60 +209,30 @@ impl StlCatalog {
     /// Propagates wrapper/assembly errors.
     pub fn build_with(&self, db: &GoldenDb) -> Result<BootImage, WrapError> {
         assert!(!self.is_empty(), "empty catalog");
-        let active: Vec<usize> = {
-            let mut cores: Vec<usize> = self.entries.iter().map(|e| e.core).collect();
-            cores.sort_unstable();
-            cores.dedup();
-            cores
-        };
-        let goldens: Vec<u32> = self
-            .entries
-            .iter()
-            .map(|e| db.get(&e.name).unwrap_or_else(|| panic!("no golden for {}", e.name)))
-            .collect();
-        // Pass 2: per-core boot programs with embedded checks + barrier.
-        let layout = SchedLayout::default();
-        let mut programs = Vec::new();
-        for (slot, &core) in active.iter().enumerate() {
-            let mut asm = sbst_isa::Asm::new();
-            emit_barrier(&mut asm, &layout, active.len() as u32, &format!("boot{core}"));
-            for (i, entry) in self.entries.iter().enumerate() {
-                if entry.core != core {
-                    continue;
-                }
-                let env = self.env_of(i, core);
-                let cfg = WrapConfig {
-                    expected_sig: Some(goldens[i]),
-                    terminator: Terminator::Fallthrough,
-                    ..self.wrap
-                };
-                emit_into(&mut asm, entry.routine.as_ref(), &env, &cfg, &format!("e{i}"));
+        let mut programs = Vec::with_capacity(self.cores.len());
+        let mut status_addrs = HashMap::new();
+        for (slot, (&core, (names, stl))) in self.cores.iter().enumerate() {
+            let goldens: Vec<u32> = names
+                .iter()
+                .map(|n| db.get(n).unwrap_or_else(|| panic!("no golden for {n}")))
+                .collect();
+            let wrap = WrapConfig::default();
+            let asm = build_stl_program(core, self.cores.len() as u32, stl, &goldens, None, &wrap);
+            programs.push((core, boot_base(slot), asm.assemble(boot_base(slot))?));
+            for (i, name) in names.iter().enumerate() {
+                let status = stl.env_of(i).result_addr + RESULT_STATUS_OFF as u32;
+                status_addrs.insert(name.clone(), status);
             }
-            asm.halt();
-            let base = 0x1000 + 0x4_0000 * slot as u32;
-            let program = asm.assemble(base)?;
-            programs.push((core, base, program));
         }
-        let names = self
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.name.clone(), (i, e.core)))
-            .collect();
-        Ok(BootImage {
-            programs,
-            names,
-            mailbox0: SRAM_BASE + 0x100,
-        })
+        Ok(BootImage { programs, status_addrs })
     }
 }
 
 /// The built boot-test image: one program per active core plus the
-/// routine→mailbox directory.
+/// routine→status-word directory.
 pub struct BootImage {
     programs: Vec<(usize, u32, Program)>,
-    names: HashMap<String, (usize, usize)>,
-    mailbox0: u32,
+    status_addrs: HashMap<String, u32>,
 }
 
 impl BootImage {
@@ -280,16 +241,11 @@ impl BootImage {
         &self.programs
     }
 
-    fn builder(&self) -> SocBuilder {
-        let mut builder = SocBuilder::new();
-        for (_, _, program) in &self.programs {
-            builder = builder.load(program);
-        }
-        for (i, &(core, base, _)) in self.programs.iter().enumerate() {
-            let kind = CoreKind::ALL[core];
-            builder = builder.core(CoreConfig::cached(kind, i, base), i as u32 * 3);
-        }
-        builder
+    /// The boot SoC with every program on its slot (see [`boot_soc`]):
+    /// build it, arm faults on its cores, run it, and read the verdicts
+    /// with [`report`](BootImage::report).
+    pub fn builder(&self) -> SocBuilder {
+        boot_soc(self.programs.iter().map(|(core, _, p)| (CoreKind::ALL[*core], p)))
     }
 
     /// Builds the SoC, runs the parallel boot test, and reads back the
@@ -304,12 +260,8 @@ impl BootImage {
     /// returns the verdicts plus the run's
     /// [`MetricsHub`](sbst_obs::MetricsHub). Verdicts and cycle counts
     /// are bit-identical to an unobserved run.
-    pub fn run_observed(
-        &self,
-        watchdog: u64,
-        cfg: sbst_soc::ObsConfig,
-    ) -> (BootReport, sbst_obs::MetricsHub) {
-        let mut soc = self.builder().observe(cfg).build();
+    pub fn run_observed(&self, watchdog: u64) -> (BootReport, sbst_obs::MetricsHub) {
+        let mut soc = self.builder().observe().build();
         let outcome = soc.run(watchdog);
         let metrics = soc.metrics().expect("observability attached");
         (self.report(&soc, outcome), metrics)
@@ -317,16 +269,18 @@ impl BootImage {
 
     /// Reads the verdicts out of a finished SoC.
     pub fn report(&self, soc: &Soc, outcome: sbst_soc::RunOutcome) -> BootReport {
-        let mut verdicts = HashMap::new();
-        for (name, &(idx, _)) in &self.names {
-            let status = soc.peek(self.mailbox0 + 16 * idx as u32 + 4);
-            let verdict = match status {
-                STATUS_PASS => BootVerdict::Pass,
-                STATUS_FAIL => BootVerdict::Fail,
-                _ => BootVerdict::NotRun,
-            };
-            verdicts.insert(name.clone(), verdict);
-        }
+        let verdicts = self
+            .status_addrs
+            .iter()
+            .map(|(name, &addr)| {
+                let verdict = match soc.peek(addr) {
+                    STATUS_PASS => BootVerdict::Pass,
+                    STATUS_FAIL => BootVerdict::Fail,
+                    _ => BootVerdict::NotRun,
+                };
+                (name.clone(), verdict)
+            })
+            .collect();
         BootReport { outcome, verdicts }
     }
 }

@@ -31,13 +31,6 @@ pub fn derive_cycle_budget(asm: &Asm) -> u64 {
     200_000 + 1_024 * asm.len() as u64
 }
 
-/// The cycle budget for a fault-free run of `asm` under `env`: an
-/// explicit [`RoutineEnv::cycle_budget`] wins, else one is derived from
-/// the program size.
-pub fn cycle_budget_for(env: &RoutineEnv, asm: &Asm) -> u64 {
-    env.cycle_budget.unwrap_or_else(|| derive_cycle_budget(asm))
-}
-
 /// Runs `asm` standalone on a single core and reads the mailbox at
 /// `env.result_addr`.
 ///
@@ -126,7 +119,7 @@ pub fn learn_golden_cached(
         true,
         base,
         FaultPlane::fault_free(),
-        cycle_budget_for(env, &asm),
+        derive_cycle_budget(&asm),
     );
     assert!(
         report.outcome.is_clean(),

@@ -25,7 +25,7 @@
 use sbst_cpu::{CoreConfig, CoreKind};
 use sbst_soc::{ChaosConfig, RunOutcome, SocBuilder};
 
-use crate::harness::{cycle_budget_for, finish, RunReport};
+use crate::harness::{derive_cycle_budget, finish, RunReport};
 use crate::routine::{RoutineEnv, SelfTestRoutine, STATUS_DONE, STATUS_PASS};
 use crate::supervisor::QuarantineCause;
 use crate::wrap::cache::{wrap_cached, WrapConfig};
@@ -247,7 +247,7 @@ pub fn heal_standalone(
 ) -> Result<RecoveryReport, WrapError> {
     let asm = wrap_cached(routine, env, wrap, "heal")?;
     let program = asm.assemble(base)?;
-    let budget = cycle_budget_for(env, &asm);
+    let budget = derive_cycle_budget(&asm);
     let image = {
         let mut b = SocBuilder::new();
         b = b.load(&program);

@@ -65,10 +65,9 @@ mod text_routine;
 mod wrap;
 
 pub use bound::{BoundViolation, BoundWatchdog};
-pub use catalog::{BootImage, BootReport, BootVerdict, CatalogEntry, GoldenDb, StlCatalog};
+pub use catalog::{BootImage, BootReport, BootVerdict, GoldenDb, StlCatalog};
 pub use harness::{
-    cycle_budget_for, derive_cycle_budget, finish, learn_golden_cached, run_chaotic,
-    run_standalone, RunReport,
+    derive_cycle_budget, finish, learn_golden_cached, run_chaotic, run_standalone, RunReport,
 };
 pub use healer::{
     heal_standalone, run_self_healing, CheckMode, HealAction, HealConfig, RecoveryReport,

@@ -30,12 +30,6 @@ pub struct RoutineEnv {
     /// [`NoWriteAllocate`](WritePolicy::NoWriteAllocate) every emitted
     /// store is followed by a dummy load (paper §III.1).
     pub policy: WritePolicy,
-    /// Cycle budget for fault-free runs of this routine. `None` derives
-    /// one from the program size (see
-    /// [`derive_cycle_budget`](crate::derive_cycle_budget)) — the old
-    /// behaviour was a magic constant that neither scaled down for tiny
-    /// routines nor up for exhaustive ones.
-    pub cycle_budget: Option<u64>,
 }
 
 impl RoutineEnv {
@@ -47,7 +41,6 @@ impl RoutineEnv {
             result_addr: sbst_mem::SRAM_BASE + 0x40,
             data_base: sbst_mem::SRAM_BASE + 0x100,
             policy: WritePolicy::WriteAllocate,
-            cycle_budget: None,
         }
     }
 

@@ -4,34 +4,32 @@
 //! decentralized through shared-SRAM primitives (an `amoswap` spinlock
 //! and a start barrier) — no core plays master. This is the execution
 //! context that produces the paper's Table I bus-contention numbers.
+//!
+//! This module is the one place a core's boot program is laid out:
+//! [`build_stl_program`] emits it, [`CoreStl::env_of`] places each
+//! routine's mailbox and scratch, [`CoreStl::learn`] learns its
+//! goldens, and [`boot_soc`] puts each slot's program on its own cached
+//! core. The deployable [`StlCatalog`](crate::StlCatalog) and the
+//! fault-tolerant [`Supervisor`](crate::Supervisor) both build through
+//! it.
 
-use sbst_isa::{Asm, Reg};
+use sbst_cpu::{CoreConfig, CoreKind};
+use sbst_isa::{Asm, Program, Reg};
 use sbst_mem::{MMIO_BASE, SRAM_BASE, WDG_KICK, WDG_LOAD};
+use sbst_soc::SocBuilder;
 
+use crate::harness::learn_golden_cached;
 use crate::routine::{RoutineEnv, SelfTestRoutine};
-use crate::wrap::cache::{emit_into, WrapConfig};
+use crate::wrap::cache::{emit_into, WrapConfig, WrapError};
 use crate::wrap::Terminator;
 
-/// Shared-memory layout of the scheduler's coordination block.
-#[derive(Debug, Clone, Copy)]
-pub struct SchedLayout {
-    /// Spinlock word.
-    pub lock_addr: u32,
-    /// Arrived-cores counter.
-    pub count_addr: u32,
-    /// First per-core "done" flag word (one word per core).
-    pub done_base: u32,
-}
-
-impl Default for SchedLayout {
-    fn default() -> SchedLayout {
-        SchedLayout {
-            lock_addr: SRAM_BASE,
-            count_addr: SRAM_BASE + 4,
-            done_base: SRAM_BASE + 8,
-        }
-    }
-}
+/// Shared-SRAM spinlock word of the start barrier.
+pub const LOCK_ADDR: u32 = SRAM_BASE;
+/// Shared-SRAM arrived-cores counter of the start barrier.
+pub const COUNT_ADDR: u32 = SRAM_BASE + 4;
+/// First per-core "done" flag word: core `c` publishes at
+/// `DONE_BASE + 4·c`.
+pub const DONE_BASE: u32 = SRAM_BASE + 8;
 
 // Scheduler-reserved registers (distinct from wrapper + body sets is
 // unnecessary: the barrier runs before/after routines).
@@ -42,11 +40,11 @@ const CNT_PTR: Reg = Reg::R4;
 
 /// Emits a decentralized start barrier: take the lock, bump the arrival
 /// counter, release, then spin until all `n` cores arrived.
-pub fn emit_barrier(asm: &mut Asm, layout: &SchedLayout, n: u32, tag: &str) {
+pub fn emit_barrier(asm: &mut Asm, n: u32, tag: &str) {
     let acquire = format!("{tag}_bar_acq");
     let wait = format!("{tag}_bar_wait");
-    asm.li(LOCK_PTR, layout.lock_addr);
-    asm.li(CNT_PTR, layout.count_addr);
+    asm.li(LOCK_PTR, LOCK_ADDR);
+    asm.li(CNT_PTR, COUNT_ADDR);
     asm.label(&acquire);
     asm.li(TMP, 1);
     asm.amoswap(OLD, TMP, LOCK_PTR); // swaps bypass the D$
@@ -83,58 +81,113 @@ pub fn emit_watchdog_kick(asm: &mut Asm) {
 pub struct CoreStl {
     /// Routines this core runs, in order.
     pub routines: Vec<Box<dyn SelfTestRoutine>>,
-    /// Environment (result mailboxes advance by 16 bytes per routine).
+    /// Environment of routine 0; the others follow it (see
+    /// [`env_of`](CoreStl::env_of)).
     pub env: RoutineEnv,
-    /// Watchdog timeout armed by core 0 and kicked between routines
-    /// (`None` = watchdog unused). Must exceed the longest routine's
-    /// cache-wrapped execution time.
-    pub watchdog: Option<u32>,
 }
 
 impl CoreStl {
-    /// An STL share without watchdog supervision.
+    /// A core's STL share.
     pub fn new(routines: Vec<Box<dyn SelfTestRoutine>>, env: RoutineEnv) -> CoreStl {
-        CoreStl { routines, env, watchdog: None }
+        CoreStl { routines, env }
+    }
+
+    /// Routine `i`'s environment: its result mailbox sits `16·i` bytes
+    /// and its scratch area `0x40·i` bytes past routine 0's.
+    pub fn env_of(&self, i: usize) -> RoutineEnv {
+        RoutineEnv {
+            result_addr: self.env.result_addr + 16 * i as u32,
+            data_base: self.env.data_base + 0x40 * i as u32,
+            ..self.env
+        }
+    }
+
+    /// Learns every routine's golden signature under the paper's
+    /// wrapper (`WrapConfig::default()`): one fault-free standalone
+    /// cached run per routine, in its own environment, from
+    /// [`boot_base`]`(0)`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates wrapper errors (oversized routine, assembly failure).
+    pub fn learn(&self) -> Result<Vec<u32>, WrapError> {
+        let wrap = WrapConfig::default();
+        let learn = |i: usize| {
+            let routine = self.routines[i].as_ref();
+            learn_golden_cached(routine, &self.env_of(i), &wrap, self.env.core_kind, boot_base(0))
+        };
+        (0..self.routines.len()).map(learn).collect()
     }
 }
 
-/// Builds the boot-time STL program of one core: start barrier →
-/// wrapped routines back-to-back → done flag → halt.
+/// Builds the boot-time STL program of one core: watchdog arm → start
+/// barrier over `total_cores` → wrapped routines back-to-back, each
+/// followed by a watchdog kick → done flag at `DONE_BASE + 4·core_id` →
+/// halt.
 ///
-/// `wrap` controls the deterministic wrapper applied to *every* routine
-/// (set `iterations: 1, invalidate: false` to model the legacy uncached
-/// STL).
+/// Routine `i` self-checks against `goldens[i]`; an empty `goldens`
+/// leaves every routine unchecked (status `STATUS_DONE`). The watchdog
+/// is armed with, and kicked against, `watchdog` when it is given:
+/// give it to one core per SoC. `wrap` is the deterministic wrapper
+/// applied to *every* routine (set `iterations: 1, invalidate: false`
+/// to model the legacy uncached STL).
+///
+/// # Panics
+///
+/// Panics if `goldens` is neither empty nor one per routine.
 pub fn build_stl_program(
     core_id: usize,
     total_cores: u32,
     stl: &CoreStl,
+    goldens: &[u32],
+    watchdog: Option<u32>,
     wrap: &WrapConfig,
-    layout: &SchedLayout,
 ) -> Asm {
+    assert!(
+        goldens.is_empty() || goldens.len() == stl.routines.len(),
+        "core {core_id}: {} goldens for {} routines",
+        goldens.len(),
+        stl.routines.len()
+    );
     let mut asm = Asm::new();
-    let tag_base = format!("c{core_id}");
-    if let Some(timeout) = stl.watchdog {
-        if core_id == 0 {
-            emit_watchdog_arm(&mut asm, timeout);
-        }
+    let tag = format!("c{core_id}");
+    if let Some(timeout) = watchdog {
+        emit_watchdog_arm(&mut asm, timeout);
     }
-    emit_barrier(&mut asm, layout, total_cores, &tag_base);
+    emit_barrier(&mut asm, total_cores, &tag);
     for (i, routine) in stl.routines.iter().enumerate() {
-        let env = RoutineEnv {
-            result_addr: stl.env.result_addr + 16 * i as u32,
-            data_base: stl.env.data_base + 0x40 * i as u32,
-            ..stl.env
+        let cfg = WrapConfig {
+            expected_sig: goldens.get(i).copied(),
+            terminator: Terminator::Fallthrough,
+            ..*wrap
         };
-        let cfg = WrapConfig { terminator: Terminator::Fallthrough, ..*wrap };
-        emit_into(&mut asm, routine.as_ref(), &env, &cfg, &format!("{tag_base}_r{i}"));
-        if stl.watchdog.is_some() && core_id == 0 {
+        emit_into(&mut asm, routine.as_ref(), &stl.env_of(i), &cfg, &format!("{tag}_r{i}"));
+        if watchdog.is_some() {
             emit_watchdog_kick(&mut asm);
         }
     }
     // Publish completion.
-    asm.li(Reg::R1, layout.done_base + 4 * core_id as u32);
+    asm.li(Reg::R1, DONE_BASE + 4 * core_id as u32);
     asm.li(Reg::R2, 1);
     asm.sw(Reg::R2, Reg::R1, 0);
     asm.halt();
     asm
+}
+
+/// Flash address of boot slot `slot`'s program: `0x1000`, then one slot
+/// every 256 KiB.
+pub fn boot_base(slot: usize) -> u32 {
+    0x1000 + 0x4_0000 * slot as u32
+}
+
+/// The boot SoC: one cached core per program, in slot order. Slot `i`
+/// runs a core of its `kind` from its program's base (assemble it at
+/// [`boot_base`]`(i)`) and starts `3·i` cycles late.
+pub fn boot_soc<'a>(programs: impl IntoIterator<Item = (CoreKind, &'a Program)>) -> SocBuilder {
+    let mut builder = SocBuilder::new();
+    for (slot, (kind, program)) in programs.into_iter().enumerate() {
+        let cfg = CoreConfig::cached(kind, slot, program.base());
+        builder = builder.load(program).core(cfg, 3 * slot as u32);
+    }
+    builder
 }

@@ -1,24 +1,25 @@
 //! Fault-tolerant supervision of the decentralized boot-time STL.
 //!
-//! [`build_stl_program`](crate::sched::build_stl_program) assumes every
-//! core completes its share of the Software Test Library; a single hung
-//! or failing core leaves the whole boot report unusable. The
-//! [`Supervisor`] wraps the same scheduler primitives (barrier,
-//! watchdog arm/kick, cache-wrapped routines) in a host-side state
-//! machine that *degrades* instead of dying:
+//! [`build_stl_program`] assumes every core completes its share of the
+//! Software Test Library; a single hung or failing core leaves the
+//! whole boot report unusable. The [`Supervisor`] boots that same
+//! per-core program, with its goldens learned by [`CoreStl::learn`] and
+//! its SoC built by [`boot_soc`], from a host-side state machine that
+//! *degrades* instead of dying:
 //!
-//! 1. every core's program installs a trap handler (via the
-//!    software-writable `TrapVec` CSR) so an unexpected trap parks the
-//!    core with a diagnostic flag instead of killing the simulation;
+//! 1. every core's program is prefixed with a trap handler (installed
+//!    via the software-writable `TrapVec` CSR) so an unexpected trap
+//!    parks the core with a diagnostic flag instead of killing the
+//!    simulation;
 //! 2. the lowest active core arms the memory-mapped watchdog and kicks
 //!    it between routines, so a hang anywhere bites within one routine
 //!    budget;
 //! 3. a core that misses its done-flag, publishes a FAIL status, or
 //!    trips the trap handler is retried standalone up to
-//!    [`SupervisorConfig::max_retries`] times — each retry rebuilds the
-//!    SoC from the frozen image (cold caches: the deterministic wrapper
-//!    re-invalidates and the loading loop re-warms) under a cycle
-//!    budget that doubles per attempt;
+//!    [`SupervisorConfig::max_retries`] times — each retry is a
+//!    parallel run over that one core on a freshly built SoC (cold
+//!    caches: the deterministic wrapper re-invalidates and the loading
+//!    loop re-warms) under a cycle budget that doubles per attempt;
 //! 4. a core that exhausts its retries is **quarantined** and the
 //!    parallel phase re-runs with the remaining cores behind a shrunken
 //!    barrier, so one dead core never blocks the others' verdicts.
@@ -31,26 +32,27 @@
 
 use std::collections::BTreeMap;
 
-use sbst_cpu::CoreConfig;
 use sbst_fault::FaultPlane;
 use sbst_isa::{Asm, Csr, Reg};
 use sbst_mem::ArbiterKind;
-use sbst_soc::{ChaosConfig, RunOutcome, Soc, SocBuilder};
+use sbst_soc::{ChaosConfig, RunOutcome, Soc};
 
 use crate::bound::BoundWatchdog;
 use crate::harness::derive_cycle_budget;
-use crate::routine::{RoutineEnv, RESULT_STATUS_OFF, STATUS_PASS};
-use crate::sched::{
-    emit_barrier, emit_watchdog_arm, emit_watchdog_kick, CoreStl, SchedLayout,
-};
-use crate::wrap::cache::{emit_into, WrapConfig};
-use crate::wrap::{Terminator, WrapError};
+use crate::routine::{RESULT_STATUS_OFF, STATUS_PASS};
+use crate::sched::{boot_base, boot_soc, build_stl_program, CoreStl, DONE_BASE};
+use crate::wrap::{WrapConfig, WrapError};
 
 /// The SoC's core count (core ids are `0..MAX_CORES`).
 const MAX_CORES: usize = 3;
 
 /// Value the trap handler parks in a core's trap flag.
 const TRAP_FLAG: u32 = 0xdead_c0de;
+
+/// SRAM address of `core`'s trap flag (after the done flags).
+fn trap_addr(core: usize) -> u32 {
+    DONE_BASE + 4 * MAX_CORES as u32 + 4 * core as u32
+}
 
 /// Why a core was quarantined.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -179,11 +181,6 @@ pub struct SupervisorConfig {
     /// Host cycle budget for the parallel phase; 0 derives one from the
     /// program sizes. Retries double it per attempt.
     pub base_budget: u64,
-    /// Deterministic wrapper applied to every routine (`expected_sig`
-    /// is overridden per routine with its learned golden).
-    pub wrap: WrapConfig,
-    /// Shared-SRAM coordination block.
-    pub layout: SchedLayout,
     /// Bus arbitration policy of every SoC the supervisor builds
     /// (parallel phase and standalone retries alike).
     pub arbiter: ArbiterKind,
@@ -204,8 +201,6 @@ impl Default for SupervisorConfig {
             max_retries: 2,
             watchdog_timeout: 0,
             base_budget: 0,
-            wrap: WrapConfig::default(),
-            layout: SchedLayout::default(),
             arbiter: ArbiterKind::RoundRobin,
             chaos: None,
             bound_watchdog: None,
@@ -280,8 +275,8 @@ impl Supervisor {
         std::mem::take(&mut self.events)
     }
 
-    /// Registers core `core`'s STL share. `stl.watchdog` is ignored —
-    /// the supervisor owns watchdog policy.
+    /// Registers core `core`'s STL share. The supervisor owns watchdog
+    /// policy.
     ///
     /// # Panics
     ///
@@ -338,28 +333,12 @@ impl Supervisor {
         sup.plane
     }
 
-    /// SRAM address of `core`'s trap flag (after the done flags).
-    fn trap_addr(&self, core: usize) -> u32 {
-        self.cfg.layout.done_base + 4 * MAX_CORES as u32 + 4 * core as u32
-    }
-
-    /// SRAM address of `core`'s done flag.
-    fn done_addr(&self, core: usize) -> u32 {
-        self.cfg.layout.done_base + 4 * core as u32
-    }
-
-    /// Emits core `core`'s supervised program: trap-handler install,
-    /// watchdog arm (kicker only), barrier over `n_active` cores,
-    /// wrapped routines with per-routine golden self-checks and
-    /// inter-routine kicks, done flag, halt.
-    fn emit_program(
-        &self,
-        core: usize,
-        n_active: u32,
-        kicker: bool,
-        watchdog: u32,
-        base: u32,
-    ) -> Asm {
+    /// Emits core `core`'s supervised program: a trap handler the core
+    /// installs first, then the scheduler's program over `n_active`
+    /// cores (see [`build_stl_program`]) with the learned goldens as
+    /// self-checks, arming and kicking `watchdog` when given. `base` is
+    /// where the program will be assembled.
+    fn emit_program(&self, core: usize, n_active: u32, watchdog: Option<u32>, base: u32) -> Asm {
         let sup = &self.cores[&core];
         let tag = format!("sup{core}");
         let mut asm = Asm::new();
@@ -368,37 +347,15 @@ impl Supervisor {
         // plain `li` before any label arithmetic exists.
         asm.jal(Reg::R0, &format!("{tag}_start"));
         asm.label(&format!("{tag}_trap"));
-        asm.li(Reg::R1, self.trap_addr(core));
+        asm.li(Reg::R1, trap_addr(core));
         asm.li(Reg::R2, TRAP_FLAG);
         asm.sw(Reg::R2, Reg::R1, 0);
         asm.halt();
         asm.label(&format!("{tag}_start"));
         asm.li(Reg::R1, base + 4);
         asm.csrw(Csr::TrapVec, Reg::R1);
-        if kicker {
-            emit_watchdog_arm(&mut asm, watchdog);
-        }
-        emit_barrier(&mut asm, &self.cfg.layout, n_active, &tag);
-        for (i, routine) in sup.stl.routines.iter().enumerate() {
-            let env = RoutineEnv {
-                result_addr: sup.stl.env.result_addr + 16 * i as u32,
-                data_base: sup.stl.env.data_base + 0x40 * i as u32,
-                ..sup.stl.env
-            };
-            let cfg = WrapConfig {
-                expected_sig: Some(sup.goldens[i]),
-                terminator: Terminator::Fallthrough,
-                ..self.cfg.wrap
-            };
-            emit_into(&mut asm, routine.as_ref(), &env, &cfg, &format!("{tag}_r{i}"));
-            if kicker {
-                emit_watchdog_kick(&mut asm);
-            }
-        }
-        asm.li(Reg::R1, self.done_addr(core));
-        asm.li(Reg::R2, 1);
-        asm.sw(Reg::R2, Reg::R1, 0);
-        asm.halt();
+        let wrap = WrapConfig::default();
+        asm.append(&build_stl_program(core, n_active, &sup.stl, &sup.goldens, watchdog, &wrap));
         asm
     }
 
@@ -417,17 +374,15 @@ impl Supervisor {
                 return Err(QuarantineCause::BoundViolation);
             }
         }
-        if soc.peek(self.trap_addr(core)) == TRAP_FLAG {
+        if soc.peek(trap_addr(core)) == TRAP_FLAG {
             return Err(QuarantineCause::UnexpectedTrap);
         }
-        if soc.peek(self.done_addr(core)) != 1 {
+        if soc.peek(DONE_BASE + 4 * core as u32) != 1 {
             return Err(QuarantineCause::WatchdogBite);
         }
-        let sup = &self.cores[&core];
-        for i in 0..sup.stl.routines.len() {
-            let status = soc.peek(
-                sup.stl.env.result_addr + 16 * i as u32 + RESULT_STATUS_OFF as u32,
-            );
+        let stl = &self.cores[&core].stl;
+        for i in 0..stl.routines.len() {
+            let status = soc.peek(stl.env_of(i).result_addr + RESULT_STATUS_OFF as u32);
             if status != STATUS_PASS {
                 return Err(QuarantineCause::SignatureMismatch);
             }
@@ -435,58 +390,35 @@ impl Supervisor {
         Ok(())
     }
 
-    /// Learns every routine's golden signature (fault-free standalone
-    /// cached runs, derived budgets).
+    /// Learns every routine's golden signature (see
+    /// [`CoreStl::learn`]).
     fn learn(&mut self) -> Result<(), WrapError> {
-        let cores: Vec<usize> = self.cores.keys().copied().collect();
-        for core in cores {
-            let sup = &self.cores[&core];
-            let mut goldens = Vec::with_capacity(sup.stl.routines.len());
-            for i in 0..sup.stl.routines.len() {
-                let sup = &self.cores[&core];
-                let env = RoutineEnv {
-                    result_addr: sup.stl.env.result_addr + 16 * i as u32,
-                    data_base: sup.stl.env.data_base + 0x40 * i as u32,
-                    ..sup.stl.env
-                };
-                let golden = crate::harness::learn_golden_cached(
-                    sup.stl.routines[i].as_ref(),
-                    &env,
-                    &self.cfg.wrap,
-                    sup.stl.env.core_kind,
-                    0x1000,
-                )?;
-                goldens.push(golden);
-            }
-            self.cores.get_mut(&core).expect("core registered").goldens = goldens;
+        for sup in self.cores.values_mut() {
+            sup.goldens = sup.stl.learn()?;
         }
         Ok(())
     }
 
-    /// Builds and runs the parallel phase over `active`, returning the
-    /// finished SoC and its outcome.
+    /// Builds and runs `active` in parallel, core `active[i]` in boot
+    /// slot `i` and the first one arming `watchdog`, returning the
+    /// finished SoC and its outcome. A standalone retry is a run over
+    /// one core.
     fn run_parallel(
         &mut self,
         active: &[usize],
         watchdog: u32,
         budget: u64,
     ) -> Result<(Soc, RunOutcome), WrapError> {
-        let kicker = active[0];
-        let mut builder = SocBuilder::new().arbiter(self.cfg.arbiter);
+        let mut programs = Vec::with_capacity(active.len());
+        for (slot, &core) in active.iter().enumerate() {
+            let watchdog = (slot == 0).then_some(watchdog);
+            let asm = self.emit_program(core, active.len() as u32, watchdog, boot_base(slot));
+            programs.push((self.cores[&core].stl.env.core_kind, asm.assemble(boot_base(slot))?));
+        }
+        let mut builder =
+            boot_soc(programs.iter().map(|(kind, p)| (*kind, p))).arbiter(self.cfg.arbiter);
         if let Some(chaos) = self.cfg.chaos {
             builder = builder.chaos(chaos);
-        }
-        let mut bases = Vec::new();
-        for (slot, &core) in active.iter().enumerate() {
-            let base = 0x1000 + 0x4_0000 * slot as u32;
-            let asm =
-                self.emit_program(core, active.len() as u32, core == kicker, watchdog, base);
-            builder = builder.load(&asm.assemble(base)?);
-            bases.push(base);
-        }
-        for (slot, &core) in active.iter().enumerate() {
-            let kind = self.cores[&core].stl.env.core_kind;
-            builder = builder.core(CoreConfig::cached(kind, slot, bases[slot]), slot as u32 * 3);
         }
         let mut soc = builder.build();
         for (slot, &core) in active.iter().enumerate() {
@@ -497,40 +429,13 @@ impl Supervisor {
         Ok((soc, outcome))
     }
 
-    /// One standalone retry of `core` under `budget` cycles. The SoC is
-    /// rebuilt from scratch, so caches start cold: the wrapper's
-    /// invalidation plus the loading loop re-warm them before the
-    /// execution loop runs.
-    fn run_standalone(
-        &mut self,
-        core: usize,
-        watchdog: u32,
-        budget: u64,
-    ) -> Result<(Soc, RunOutcome), WrapError> {
-        let base = 0x1000;
-        let asm = self.emit_program(core, 1, true, watchdog, base);
-        let kind = self.cores[&core].stl.env.core_kind;
-        let mut builder = SocBuilder::new()
-            .arbiter(self.cfg.arbiter)
-            .load(&asm.assemble(base)?)
-            .core(CoreConfig::cached(kind, 0, base), 0);
-        if let Some(chaos) = self.cfg.chaos {
-            builder = builder.chaos(chaos);
-        }
-        let mut soc = builder.build();
-        let plane = self.plane_for_run(core);
-        soc.core_mut(0).set_plane(plane);
-        let outcome = soc.run(budget);
-        Ok((soc, outcome))
-    }
-
     /// Derived parallel-phase budget: the largest per-core program's
     /// derived budget, scaled by the number of cores sharing the bus.
     fn derive_budget(&self, active: &[usize]) -> u64 {
         let worst = active
             .iter()
             .map(|&core| {
-                let asm = self.emit_program(core, active.len() as u32, true, 1, 0x1000);
+                let asm = self.emit_program(core, active.len() as u32, Some(1), boot_base(0));
                 derive_cycle_budget(&asm)
             })
             .max()
@@ -608,7 +513,7 @@ impl Supervisor {
                     };
                     let retry_budget = budget.saturating_mul(1 << n.min(16));
                     let retry_wdg = watchdog.saturating_mul(1 << n.min(16) as u32);
-                    let (soc, _) = self.run_standalone(core, retry_wdg, retry_budget)?;
+                    let (soc, _) = self.run_parallel(&[core], retry_wdg, retry_budget)?;
                     last_cycle = soc.cycle();
                     match self.classify(&soc, core, 0) {
                         Ok(()) => {

@@ -1,9 +1,8 @@
 //! Boot-image tests: the deployable STL catalog end to end, including an
 //! injected fault flipping exactly its routine to FAIL.
 
-use sbst_cpu::{CoreConfig, CoreKind};
+use sbst_cpu::CoreKind;
 use sbst_fault::{Element, FaultPlane, FaultSite, Polarity, Unit};
-use sbst_soc::SocBuilder;
 use sbst_stl::routines::{ForwardingTest, GenericAluTest, IcuTest, LsuTest, RegFileTest};
 use sbst_stl::{BootVerdict, StlCatalog};
 
@@ -42,14 +41,7 @@ fn injected_fault_fails_exactly_the_targeting_routine() {
         element: Element::MuxDataIn { src: sbst_cpu::SRC_EXMEM_P0 as u8, bit: 7 },
         polarity: Polarity::StuckAt1,
     };
-    let mut builder = SocBuilder::new();
-    for (_, _, p) in image.programs() {
-        builder = builder.load(p);
-    }
-    for (i, &(core, base, _)) in image.programs().iter().enumerate() {
-        builder = builder.core(CoreConfig::cached(CoreKind::ALL[core], i, base), i as u32 * 3);
-    }
-    let mut soc = builder.build();
+    let mut soc = image.builder().build();
     soc.core_mut(0).set_plane(FaultPlane::armed(site));
     let outcome = soc.run(60_000_000);
     let report = image.report(&soc, outcome);
@@ -84,6 +76,27 @@ fn golden_db_round_trips_and_rebuilds_the_image() {
     let report = image.run(60_000_000);
     assert_eq!(report.verdict("alu-b"), Some(BootVerdict::Fail));
     assert_eq!(report.verdict("lsu-b"), Some(BootVerdict::Pass));
+}
+
+/// The goldens `full_catalog` learns, as literals: a persisted
+/// [`GoldenDb`] must stay valid when the boot image's mailboxes or
+/// learning base move, so these values must not.
+///
+/// [`GoldenDb`]: sbst_stl::GoldenDb
+#[test]
+fn learned_goldens_are_pinned() {
+    let db = full_catalog().learn().expect("learns");
+    let pinned = [
+        ("regfile-a", 0x3169_7c3c),
+        ("fwd-a", 0xd84d_c088),
+        ("alu-b", 0xfc90_4b1f),
+        ("lsu-b", 0xf4d4_5128),
+        ("icu-c", 0x5272_9a27),
+    ];
+    for (name, golden) in pinned {
+        assert_eq!(db.get(name), Some(golden), "{name}: {:#010x?}", db.get(name));
+    }
+    assert_eq!(db.len(), pinned.len());
 }
 
 #[test]

@@ -329,8 +329,7 @@ fn tcm_wrapper_matches_behaviour_and_costs_memory() {
 
 #[test]
 fn scheduler_runs_parallel_stl_on_three_cores() {
-    use sbst_stl::sched::{build_stl_program, CoreStl, SchedLayout};
-    let layout = SchedLayout::default();
+    use sbst_stl::sched::{build_stl_program, CoreStl, DONE_BASE};
     let wrap = WrapConfig::default();
     let mut builder = SocBuilder::new();
     let mut result_addrs = Vec::new();
@@ -342,15 +341,11 @@ fn scheduler_runs_parallel_stl_on_three_cores() {
             ..RoutineEnv::for_core(kind)
         };
         result_addrs.push(env.result_addr);
-        let stl = CoreStl {
-            routines: vec![
-                Box::new(GenericAluTest::new(2)),
-                Box::new(ForwardingTest::without_pcs(kind)),
-            ],
+        let stl = CoreStl::new(
+            vec![Box::new(GenericAluTest::new(2)), Box::new(ForwardingTest::without_pcs(kind))],
             env,
-            watchdog: None,
-        };
-        let asm = build_stl_program(core, 3, &stl, &wrap, &layout);
+        );
+        let asm = build_stl_program(core, 3, &stl, &[], None, &wrap);
         let base = 0x1000 + 0x2_0000 * core as u32;
         builder = builder.load(&asm.assemble(base).unwrap());
         builder = builder.core(CoreConfig::cached(kind, core, base), core as u32 * 7);
@@ -359,7 +354,7 @@ fn scheduler_runs_parallel_stl_on_three_cores() {
     let outcome = soc.run(MAX);
     assert!(outcome.is_clean(), "{outcome:?}");
     for (core, &result_addr) in result_addrs.iter().enumerate() {
-        assert_eq!(soc.peek(layout.done_base + 4 * core as u32), 1, "core {core} done");
+        assert_eq!(soc.peek(DONE_BASE + 4 * core as u32), 1, "core {core} done");
         for routine in 0..2u32 {
             let status = soc.peek(result_addr + 16 * routine + 4);
             assert_eq!(status, STATUS_DONE, "core {core} routine {routine}");
@@ -369,21 +364,16 @@ fn scheduler_runs_parallel_stl_on_three_cores() {
 
 #[test]
 fn armed_watchdog_catches_a_hung_stl_and_quiet_when_kicked() {
-    use sbst_stl::sched::{build_stl_program, CoreStl, SchedLayout};
+    use sbst_stl::sched::{build_stl_program, CoreStl};
     // (1) A healthy STL with the watchdog armed and kicked between
     // routines completes cleanly.
-    let layout = SchedLayout::default();
     let wrap = WrapConfig::default();
     let build = |watchdog| {
-        let stl = CoreStl {
-            routines: vec![
-                Box::new(GenericAluTest::new(2)) as Box<dyn SelfTestRoutine>,
-                Box::new(GenericAluTest::new(3)),
-            ],
-            env: RoutineEnv::for_core(CoreKind::A),
-            watchdog,
-        };
-        build_stl_program(0, 1, &stl, &wrap, &layout)
+        let stl = CoreStl::new(
+            vec![Box::new(GenericAluTest::new(2)), Box::new(GenericAluTest::new(3))],
+            RoutineEnv::for_core(CoreKind::A),
+        );
+        build_stl_program(0, 1, &stl, &[], watchdog, &wrap)
     };
     let healthy = build(Some(200_000)).assemble(0x1000).unwrap();
     let mut soc = SocBuilder::new()

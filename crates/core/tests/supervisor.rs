@@ -162,7 +162,6 @@ fn violated_bound_escalates_to_quarantine() {
         arbiter: ArbiterKind::FixedPriority { ascending: false },
         chaos: Some(ChaosConfig::interference(InjectorProgram::saturate(7))),
         bound_watchdog: Some(BoundWatchdog::new(ArbiterKind::RoundRobin)),
-        ..Default::default()
     });
     sup.add_core(0, CoreStl::new(vec![Box::new(RegFileTest::new())], env_for(0)));
     let report = sup.run().expect("boot");
@@ -195,7 +194,6 @@ fn honest_fixed_priority_certificate_reports_a_hang_not_a_violation() {
         bound_watchdog: Some(BoundWatchdog::new(ArbiterKind::FixedPriority {
             ascending: false,
         })),
-        ..Default::default()
     });
     sup.add_core(0, CoreStl::new(vec![Box::new(RegFileTest::new())], env_for(0)));
     let report = sup.run().expect("boot");

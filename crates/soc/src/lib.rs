@@ -25,7 +25,6 @@ mod soc;
 mod trace;
 
 pub use chaos::ChaosConfig;
-pub use obs::ObsConfig;
 pub use scenario::{Alignment, CodePosition, Scenario};
 pub use soc::{RunOutcome, Soc, SocBuilder};
 pub use trace::PipelineTrace;

@@ -18,19 +18,9 @@ use sbst_obs::{
 
 use crate::soc::Soc;
 
-/// Configuration of the observability layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ObsConfig {
-    /// Capacity of each event ring (core-side and bus-side); the rings
-    /// keep the most recent window and count what they drop.
-    pub ring_capacity: usize,
-}
-
-impl Default for ObsConfig {
-    fn default() -> ObsConfig {
-        ObsConfig { ring_capacity: 4096 }
-    }
-}
+/// Capacity of each event ring (core-side and bus-side); the rings keep
+/// the most recent window and count what they drop.
+pub(crate) const OBS_RING_CAPACITY: usize = 4096;
 
 /// The core-side observer state carried by an observed [`Soc`].
 #[derive(Debug, Clone)]
@@ -43,8 +33,8 @@ pub(crate) struct SocObs {
 
 impl SocObs {
     /// An observer primed with the cores' current samples.
-    pub(crate) fn new(cfg: ObsConfig, prev: Vec<CoreSample>) -> SocObs {
-        SocObs { ring: EventRing::new(cfg.ring_capacity), prev, watchdog_seen: false, seu_seen: 0 }
+    pub(crate) fn new(prev: Vec<CoreSample>) -> SocObs {
+        SocObs { ring: EventRing::new(OBS_RING_CAPACITY), prev, watchdog_seen: false, seu_seen: 0 }
     }
 
     /// Called at the end of every SoC step (before the cycle counter

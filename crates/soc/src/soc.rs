@@ -12,7 +12,7 @@ use sbst_mem::{
 use sbst_obs::{BusObs, MetricsHub};
 
 use crate::chaos::ChaosConfig;
-use crate::obs::{collect, ObsConfig, SocObs};
+use crate::obs::{collect, SocObs, OBS_RING_CAPACITY};
 
 /// Why [`Soc::run`] stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,7 +75,7 @@ pub struct SocBuilder {
     sram_latency: u32,
     cores: Vec<(CoreConfig, u32)>,
     chaos: Option<ChaosConfig>,
-    obs: Option<ObsConfig>,
+    obs: bool,
     arbiter: ArbiterKind,
 }
 
@@ -87,7 +87,7 @@ impl Default for SocBuilder {
             sram_latency: 0,
             cores: Vec::new(),
             chaos: None,
-            obs: None,
+            obs: false,
             arbiter: ArbiterKind::RoundRobin,
         }
     }
@@ -141,11 +141,11 @@ impl SocBuilder {
 
     /// Attaches the observability layer: per-core trace events, bus
     /// grant-latency histograms and a [`MetricsHub`] at the end of the
-    /// run (see [`Soc::metrics`]). Observation is strictly read-only —
-    /// signatures, verdicts and cycle counts are bit-identical with or
-    /// without it.
-    pub fn observe(mut self, cfg: ObsConfig) -> SocBuilder {
-        self.obs = Some(cfg);
+    /// run (see [`Soc::metrics`]), each trace window holding the last
+    /// 4096 events. Observation is strictly read-only — signatures,
+    /// verdicts and cycle counts are bit-identical with or without it.
+    pub fn observe(mut self) -> SocBuilder {
+        self.obs = true;
         self
     }
 
@@ -177,8 +177,8 @@ impl SocBuilder {
             .map(|c| TrafficInjector::new(c.injector, ports - 1));
         let seu = self.chaos.map(|c| SeuScheduler::new(c.seu));
         let mut soc = Soc { cores, bus, cycle: 0, injector, seu, seu_log: Vec::new(), obs: None };
-        if let Some(cfg) = self.obs {
-            soc.attach_obs(cfg);
+        if self.obs {
+            soc.attach_obs();
         }
         soc
     }
@@ -322,10 +322,10 @@ impl Soc {
 
     /// Attaches the observability layer to a built SoC (equivalent to
     /// [`SocBuilder::observe`]).
-    pub fn attach_obs(&mut self, cfg: ObsConfig) {
+    pub fn attach_obs(&mut self) {
         let prev = self.cores.iter().map(|(c, _)| c.obs_sample()).collect();
-        self.obs = Some(Box::new(SocObs::new(cfg, prev)));
-        self.bus.attach_obs(BusObs::new(self.bus.ports(), cfg.ring_capacity));
+        self.obs = Some(Box::new(SocObs::new(prev)));
+        self.bus.attach_obs(BusObs::new(self.bus.ports(), OBS_RING_CAPACITY));
     }
 
     /// Whether the observability layer is attached.

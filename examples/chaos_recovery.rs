@@ -24,7 +24,7 @@ use det_sbst::mem::{InjectorProgram, SeuConfig};
 use det_sbst::soc::ChaosConfig;
 use det_sbst::stl::routines::ForwardingTest;
 use det_sbst::stl::{
-    cycle_budget_for, heal_standalone, run_chaotic, run_standalone, wrap_cached, HealConfig,
+    derive_cycle_budget, heal_standalone, run_chaotic, run_standalone, wrap_cached, HealConfig,
     RoutineEnv, WrapConfig,
 };
 
@@ -42,8 +42,8 @@ fn main() {
         ..WrapConfig::default()
     };
     let unwrapped = wrap_cached(&routine, &env, &legacy_cfg, "legacy").expect("wraps");
-    let budget_w = cycle_budget_for(&env, &wrapped);
-    let budget_u = cycle_budget_for(&env, &unwrapped);
+    let budget_w = derive_cycle_budget(&wrapped);
+    let budget_u = derive_cycle_budget(&unwrapped);
 
     // Act 1 — interference invariance.
     let solo_w =

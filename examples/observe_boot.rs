@@ -14,7 +14,6 @@
 
 use det_sbst::cpu::CoreKind;
 use det_sbst::obs::parse_json;
-use det_sbst::soc::ObsConfig;
 use det_sbst::stl::routines::{
     BranchTest, ForwardingTest, GenericAluTest, HdcuTest, IcuTest, LsuTest, RegFileTest,
 };
@@ -34,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let image = catalog.build()?;
 
     println!("running the parallel boot test with observability attached...\n");
-    let (report, metrics) = image.run_observed(120_000_000, ObsConfig::default());
+    let (report, metrics) = image.run_observed(120_000_000);
 
     let mut lines: Vec<String> =
         report.iter().map(|(n, v)| format!("  {n:<14} {v}")).collect();

@@ -9,7 +9,6 @@
 //! nothing about a run depends on when (or how often) it happens.
 
 use det_sbst::cpu::CoreKind;
-use det_sbst::soc::ObsConfig;
 use det_sbst::stl::routines::{
     BranchTest, ForwardingTest, GenericAluTest, HdcuTest, IcuTest, LsuTest, RegFileTest,
 };
@@ -38,8 +37,8 @@ fn verdicts(r: &BootReport) -> Vec<(String, String)> {
 fn full_stl_suite_twice_is_bit_identical() {
     let image = build_image();
 
-    let (first, first_metrics) = image.run_observed(120_000_000, ObsConfig::default());
-    let (second, second_metrics) = image.run_observed(120_000_000, ObsConfig::default());
+    let (first, first_metrics) = image.run_observed(120_000_000);
+    let (second, second_metrics) = image.run_observed(120_000_000);
 
     // Verdicts and outcome.
     assert!(first.all_passed(), "suite must pass: {:?}", first.outcome);
@@ -64,8 +63,8 @@ fn rebuilding_the_image_reproduces_the_run_too() {
     // Stronger form: not just the same image object, but a fresh
     // learn-and-build pass (goldens relearned from scratch) reproduces
     // the identical observability record.
-    let (a, am) = build_image().run_observed(120_000_000, ObsConfig::default());
-    let (b, bm) = build_image().run_observed(120_000_000, ObsConfig::default());
+    let (a, am) = build_image().run_observed(120_000_000);
+    let (b, bm) = build_image().run_observed(120_000_000);
     assert_eq!(a.outcome, b.outcome);
     assert_eq!(verdicts(&a), verdicts(&b));
     assert_eq!(am, bm, "fresh build must reproduce the identical record");

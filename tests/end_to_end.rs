@@ -96,8 +96,7 @@ fn delay_fault_extension_is_detected_only_with_back_to_back_execution() {
 
 #[test]
 fn mixed_stl_with_icu_routine_runs_under_the_scheduler() {
-    use det_sbst::stl::sched::{build_stl_program, CoreStl, SchedLayout};
-    let layout = SchedLayout::default();
+    use det_sbst::stl::sched::{build_stl_program, CoreStl, DONE_BASE};
     let wrap = WrapConfig::default();
     let mut builder = SocBuilder::new();
     for core in 0..3usize {
@@ -107,16 +106,15 @@ fn mixed_stl_with_icu_routine_runs_under_the_scheduler() {
             data_base: det_sbst::mem::SRAM_BASE + 0x5000 + 0x400 * core as u32,
             ..RoutineEnv::for_core(kind)
         };
-        let stl = CoreStl {
-            routines: vec![
+        let stl = CoreStl::new(
+            vec![
                 Box::new(IcuTest::with_rounds(2)),
                 Box::new(GenericAluTest::new(2)),
                 Box::new(ForwardingTest::without_pcs(kind)),
             ],
             env,
-            watchdog: None,
-        };
-        let asm = build_stl_program(core, 3, &stl, &wrap, &layout);
+        );
+        let asm = build_stl_program(core, 3, &stl, &[], None, &wrap);
         let base = 0x2000 + 0x40000 * core as u32;
         builder = builder
             .load(&asm.assemble(base).expect("assembles"))
@@ -126,7 +124,7 @@ fn mixed_stl_with_icu_routine_runs_under_the_scheduler() {
     let outcome = soc.run(60_000_000);
     assert!(outcome.is_clean(), "{outcome:?}");
     for core in 0..3usize {
-        assert_eq!(soc.peek(layout.done_base + 4 * core as u32), 1, "core {core}");
+        assert_eq!(soc.peek(DONE_BASE + 4 * core as u32), 1, "core {core}");
     }
 }
 

@@ -11,7 +11,7 @@ use proptest::prelude::*;
 use det_sbst::cpu::{CoreConfig, CoreKind};
 use det_sbst::isa::{AluOp, Asm, Reg};
 use det_sbst::mem::{InjectorProgram, SeuConfig, SRAM_BASE};
-use det_sbst::soc::{ChaosConfig, ObsConfig, SocBuilder};
+use det_sbst::soc::{ChaosConfig, SocBuilder};
 use det_sbst::stl::routines::{GenericAluTest, IcuTest, LsuTest};
 use det_sbst::stl::StlCatalog;
 
@@ -70,7 +70,7 @@ fn build(programs: &[det_sbst::isa::Program], chaos: ChaosConfig, observe: bool)
     }
     b = b.chaos(chaos);
     if observe {
-        b = b.observe(ObsConfig::default());
+        b = b.observe();
     }
     b.build()
 }
@@ -168,7 +168,7 @@ fn catalog_verdicts_unmoved_by_observation() {
     let image = catalog.build().expect("catalog builds");
 
     let plain = image.run(120_000_000);
-    let (observed, metrics) = image.run_observed(120_000_000, ObsConfig::default());
+    let (observed, metrics) = image.run_observed(120_000_000);
 
     assert_eq!(plain.outcome, observed.outcome);
     let collect = |r: &det_sbst::stl::BootReport| {
